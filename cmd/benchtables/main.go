@@ -9,17 +9,13 @@
 //	benchtables -table fig7 -scale 0.005
 //	benchtables -table build -presets fop -scale 0.05 -json BENCH_build.json
 //	benchtables -table anders -json BENCH_anders.json
-//	benchtables -table serve -json BENCH_serve.json
 //
-// Tables: 2, fig1, 7, 8, fig7, ablation, build, all, plus anders and serve
-// (run only when named — they measure the constraint engine and the
-// serving tier, not paper tables). The build experiment measures -j1 vs
-// -jN construction and decode (see internal/exper's BuildBench); the
-// anders experiment measures constraint solving across worker counts and
-// the HVN ablation over the program presets (`ptagen list`); the serve
-// experiment stands up a sharded coordinator tier per preset, gates on
-// byte-identity against a single-process server, and measures the answer
-// cache under a zipfian multi-tenant stream. -j sizes the pools and -json
+// Tables: 2, fig1, 7, 8, fig7, ablation, build, all, plus anders (run
+// only when named — it measures the constraint engine, not a paper
+// table). The build experiment measures -j1 vs -jN construction and
+// decode (see internal/exper's BuildBench); the anders experiment
+// measures constraint solving across worker counts and the HVN ablation
+// over the program presets (`ptagen list`). -j sizes the pools and -json
 // additionally writes the experiment's rows as JSON.
 package main
 
@@ -45,7 +41,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("benchtables", flag.ContinueOnError)
 	bitset.Flag(fs)
-	table := fs.String("table", "all", "which experiment: 2 | fig1 | 7 | 8 | fig7 | ablation | build | anders | serve | all")
+	table := fs.String("table", "all", "which experiment: 2 | fig1 | 7 | 8 | fig7 | ablation | build | anders | all")
 	scale := fs.Float64("scale", 0.01, "benchmark scale vs the paper's sizes")
 	presets := fs.String("presets", "", "comma-separated preset names (default: all 12)")
 	stride := fs.Int("stride", 0, "base-pointer stride (0 = auto ≈1000 base pointers)")
@@ -88,13 +84,6 @@ func run(args []string, w io.Writer) error {
 		}
 		return exper.RenderAndersBench(rows), nil
 	}
-	serveBench := func(o *exper.Options) (string, error) {
-		rows := exper.ServeBench(o)
-		if err := writeJSON(func(w io.Writer) error { return exper.WriteServeBenchJSON(w, rows) }); err != nil {
-			return "", err
-		}
-		return exper.RenderServeBench(rows), nil
-	}
 
 	experiments := []struct {
 		key, name string
@@ -108,14 +97,12 @@ func run(args []string, w io.Writer) error {
 		{"ablation", "ablations", func(o *exper.Options) (string, error) { return exper.RenderAblations(exper.Ablations(o)), nil }},
 		{"build", "build bench", buildBench},
 		{"anders", "anders bench", andersBench},
-		{"serve", "serve bench", serveBench},
 	}
-	named := map[string]bool{"anders": true, "serve": true}
 	any := false
 	for _, e := range experiments {
-		// "all" covers the paper tables; the engine and serving benches run
-		// only when asked for by name.
-		if *table != e.key && !(*table == "all" && !named[e.key]) {
+		// "all" covers the paper tables; the engine bench runs only when
+		// asked for by name.
+		if *table != e.key && !(*table == "all" && e.key != "anders") {
 			continue
 		}
 		any = true

@@ -12,24 +12,13 @@
 //	pestrie compact -in pm.pes -out pm2.pes [-gen N] [-v2] [-j N]
 //	pestrie serve -in pm.pes[,name=other.pes...] -addr :7171
 //	pestrie serve -store-dir ./pes -mem-budget 64MiB -reload-interval 30s
-//	pestrie serve -in pm.pes -shards 4 -addr :7171
-//	pestrie coordinate -shards http://h1:7171,http://h2:7171 -addr :7170
-//	pestrie bench-serve -addr http://host:7171 -in pm.pes -n 200
-//	pestrie bench-serve -in pm.pes -shards 3 -tenants 4 -zipf 1.2
+//	pestrie bench-serve -addr http://host:7171 -in pm.pes -n 200 [-zipf 1.2]
 //
 // serve answers the four Table-1 queries plus batches over HTTP/JSON (see
-// internal/server); bench-serve replays a §7.1.1 base-pointer query mix
-// against a running server and reports throughput and latency.
-//
-// serve -shards N spawns N shard servers on loopback listeners (sharing
-// one decoded catalog, or one managed store) and fronts them with a
-// coordinator on -addr: queries hash-partition over the pointer-ID space,
-// answers dedup through an answer cache plus singleflight, and the reply
-// is byte-identical to a single-process server at the same generation.
-// coordinate fronts shard servers that are already running elsewhere.
-// bench-serve -shards N spawns such a tier itself and drives it — with
-// -tenants and -zipf for a skewed multi-tenant stream, and -min-hit-ratio
-// to gate on the answer cache actually absorbing the repeats.
+// internal/server), answering repeated list queries from an answer cache;
+// bench-serve replays a §7.1.1 base-pointer query mix against a running
+// server — uniform, or zipf-skewed with -zipf — and reports throughput,
+// latency, and the server's answer-cache counters.
 //
 // With -store-dir, -mem-budget, or -reload-interval, serve routes backends
 // through the managed index store (see internal/store): .pes files decode
@@ -57,7 +46,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -105,8 +93,6 @@ func main() {
 		err = compact(os.Args[2:])
 	case "serve":
 		err = serve(os.Args[2:])
-	case "coordinate":
-		err = coordinate(os.Args[2:])
 	case "bench-serve":
 		err = benchServe(os.Args[2:])
 	default:
@@ -119,7 +105,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: pestrie <encode|info|query|verify|delta|compact|serve|coordinate|bench-serve> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: pestrie <encode|info|query|verify|delta|compact|serve|bench-serve> [flags]")
 	os.Exit(2)
 }
 
@@ -200,113 +186,11 @@ func newStoreServer(spec, dir string, opts server.Options, sopts store.Options) 
 	return server.New(opts), st, nil
 }
 
-// shardTier is an in-process shard fleet: n servers on loopback listeners
-// fronted by one Coordinator. serve -shards and bench-serve -shards both
-// build one; coordinate fronts external shards instead.
-type shardTier struct {
-	servers []*server.Server
-	urls    []string
-	coord   *server.Coordinator
-	cleanup func()
-}
-
-// startShards puts each server on its own loopback listener and returns
-// the tier with a coordinator built over the shard URLs.
-func startShards(servers []*server.Server, copts server.CoordOptions) (*shardTier, error) {
-	t := &shardTier{servers: servers}
-	var listeners []net.Listener
-	stop := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		for _, s := range servers {
-			s.Shutdown(ctx)
-		}
-		for _, l := range listeners {
-			l.Close()
-		}
-	}
-	for _, s := range servers {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			stop()
-			return nil, err
-		}
-		listeners = append(listeners, l)
-		t.urls = append(t.urls, "http://"+l.Addr().String())
-		go s.Serve(l)
-	}
-	copts.Shards = t.urls
-	coord, err := server.NewCoordinator(copts)
-	if err != nil {
-		stop()
-		return nil, err
-	}
-	t.coord = coord
-	t.cleanup = stop
-	return t, nil
-}
-
-// buildServers constructs n identical servers over one shared catalog:
-// eager -in files are decoded once and registered into every server
-// (core.Index is immutable, so shards share it safely); store mode shares
-// one managed store, so lazy loads, eviction, and hot swaps happen once
-// for the whole tier. cleanup releases the shared store, if any.
-func buildServers(n int, in, dir string, opts server.Options, sopts store.Options, useStore bool) ([]*server.Server, *store.Store, func(), error) {
-	if useStore {
-		st := store.New(sopts)
-		if in != "" {
-			specs, err := parseInSpec(in)
-			if err != nil {
-				st.Close()
-				return nil, nil, nil, err
-			}
-			for _, sp := range specs {
-				if err := st.Add(sp.Name, sp.Path); err != nil {
-					st.Close()
-					return nil, nil, nil, fmt.Errorf("serve: -in entry %s=%s: %w", sp.Name, sp.Path, err)
-				}
-			}
-		}
-		if dir != "" {
-			if _, err := st.AddDir(dir); err != nil {
-				st.Close()
-				return nil, nil, nil, err
-			}
-		}
-		opts.Store = st
-		servers := make([]*server.Server, n)
-		for i := range servers {
-			servers[i] = server.New(opts)
-		}
-		return servers, st, func() { st.Close() }, nil
-	}
-	specs, err := parseInSpec(in)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	servers := make([]*server.Server, n)
-	for i := range servers {
-		servers[i] = server.New(opts)
-	}
-	for _, sp := range specs {
-		idx, err := pestrie.LoadFile(sp.Path)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("serve: -in entry %s=%s: %w", sp.Name, sp.Path, err)
-		}
-		for _, s := range servers {
-			if err := s.AddIndex(sp.Name, idx); err != nil {
-				return nil, nil, nil, fmt.Errorf("serve: -in entry %s=%s: %w", sp.Name, sp.Path, err)
-			}
-		}
-	}
-	return servers, nil, func() {}, nil
-}
-
-// serveLoop runs listenAndServe until it returns or SIGINT/SIGTERM, then
-// drains gracefully via shutdown.
-func serveLoop(listenAndServe func() error, shutdown func(context.Context) error) error {
+// serveLoop serves s on addr until serving fails or SIGINT/SIGTERM
+// arrives, then drains gracefully.
+func serveLoop(s *server.Server, addr string) error {
 	done := make(chan error, 1)
-	go func() { done <- listenAndServe() }()
+	go func() { done <- s.ListenAndServe(addr) }()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
@@ -316,7 +200,7 @@ func serveLoop(listenAndServe func() error, shutdown func(context.Context) error
 		fmt.Println("shutting down")
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		if err := shutdown(ctx); err != nil {
+		if err := s.Shutdown(ctx); err != nil {
 			return err
 		}
 		<-done
@@ -336,10 +220,6 @@ func serve(args []string) error {
 	memBudget := fs.String("mem-budget", "", "decoded-index memory budget for the store, e.g. 64MiB (empty = unlimited)")
 	reload := fs.Duration("reload-interval", 0, "checksum poll period for hot-swapping rewritten files (0 = off)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	shards := fs.Int("shards", 0, "spawn N loopback shard servers behind a coordinator on -addr (0 = single process)")
-	cacheBudget := fs.String("cache-budget", "64MiB", "coordinator answer-cache budget (0 disables)")
-	shardTimeout := fs.Duration("shard-timeout", 10*time.Second, "coordinator per-shard sub-request deadline")
-	genTTL := fs.Duration("gen-ttl", 2*time.Second, "coordinator generation-watermark revalidation period")
 	fs.Parse(args)
 	useStore := *storeDir != "" || *memBudget != "" || *reload > 0
 	if *in == "" && !useStore {
@@ -351,35 +231,29 @@ func serve(args []string) error {
 		MaxBatch:       *maxBatch,
 		EnablePprof:    *pprofOn,
 	}
-	var sopts store.Options
+	var s *server.Server
+	var err error
 	if useStore {
 		var budget int64
 		if *memBudget != "" {
-			var err error
 			if budget, err = store.ParseBytes(*memBudget); err != nil {
 				return err
 			}
 		}
-		sopts = store.Options{MemBudget: budget, ReloadInterval: *reload}
-	}
-	n := *shards
-	if n < 0 {
-		return fmt.Errorf("serve: -shards wants a non-negative count, got %d", n)
-	}
-	if n == 0 {
-		n = 1
-	}
-	servers, st, cleanup, err := buildServers(n, *in, *storeDir, opts, sopts, useStore)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	if useStore {
+		var st *store.Store
+		s, st, err = newStoreServer(*in, *storeDir, opts, store.Options{MemBudget: budget, ReloadInterval: *reload})
+		if err != nil {
+			return err
+		}
+		defer st.Close()
 		names := st.Names()
 		fmt.Printf("store: %d catalogued backends (budget %s, reload %s): %s\n",
-			len(names), budgetString(sopts.MemBudget), *reload, strings.Join(names, " "))
+			len(names), budgetString(budget), *reload, strings.Join(names, " "))
 	} else {
-		for _, b := range servers[0].Backends() {
+		if s, err = newQueryServer(*in, opts); err != nil {
+			return err
+		}
+		for _, b := range s.Backends() {
 			fmt.Printf("backend %s: %d pointers, %d objects, %d groups, %d rectangles\n",
 				b.Name, b.Pointers, b.Objects, b.Groups, b.Rectangles)
 		}
@@ -387,79 +261,8 @@ func serve(args []string) error {
 	if *pprofOn {
 		fmt.Println("pprof mounted at /debug/pprof/")
 	}
-
-	if *shards == 0 {
-		fmt.Printf("serving on %s (timeout %s)\n", *addr, *timeout)
-		s := servers[0]
-		return serveLoop(func() error { return s.ListenAndServe(*addr) }, s.Shutdown)
-	}
-
-	budget, err := store.ParseBytes(*cacheBudget)
-	if err != nil {
-		return fmt.Errorf("serve: -cache-budget: %w", err)
-	}
-	if budget == 0 {
-		budget = -1 // explicit "0" means off; CoordOptions zero means default
-	}
-	tier, err := startShards(servers, server.CoordOptions{
-		RequestTimeout: *timeout,
-		ShardTimeout:   *shardTimeout,
-		CacheBytes:     budget,
-		MaxBatch:       *maxBatch,
-		GenTTL:         *genTTL,
-	})
-	if err != nil {
-		return err
-	}
-	defer tier.cleanup()
-	fmt.Printf("shards: %s\n", strings.Join(tier.urls, " "))
-	fmt.Printf("coordinating on %s (timeout %s, shard timeout %s, cache %s)\n",
-		*addr, *timeout, *shardTimeout, *cacheBudget)
-	return serveLoop(func() error { return tier.coord.ListenAndServe(*addr) }, tier.coord.Shutdown)
-}
-
-// coordinate fronts already-running shard servers with a coordinator.
-func coordinate(args []string) error {
-	fs := flag.NewFlagSet("coordinate", flag.ExitOnError)
-	shards := fs.String("shards", "", "comma-separated shard base URLs (order is the hash partition)")
-	addr := fs.String("addr", ":7170", "listen address")
-	timeout := fs.Duration("timeout", 30*time.Second, "per-request deadline")
-	shardTimeout := fs.Duration("shard-timeout", 10*time.Second, "per-shard sub-request deadline")
-	cacheBudget := fs.String("cache-budget", "64MiB", "answer-cache budget (0 disables)")
-	genTTL := fs.Duration("gen-ttl", 2*time.Second, "generation-watermark revalidation period")
-	maxBatch := fs.Int("max-batch", 0, "max queries per batch request (0 = 65536)")
-	fs.Parse(args)
-	if *shards == "" {
-		return fmt.Errorf("coordinate needs -shards")
-	}
-	urls := strings.Split(*shards, ",")
-	for i, u := range urls {
-		urls[i] = strings.TrimSpace(u)
-		if urls[i] == "" {
-			return fmt.Errorf("coordinate: empty URL in -shards")
-		}
-	}
-	budget, err := store.ParseBytes(*cacheBudget)
-	if err != nil {
-		return fmt.Errorf("coordinate: -cache-budget: %w", err)
-	}
-	if budget == 0 {
-		budget = -1
-	}
-	coord, err := server.NewCoordinator(server.CoordOptions{
-		Shards:         urls,
-		RequestTimeout: *timeout,
-		ShardTimeout:   *shardTimeout,
-		CacheBytes:     budget,
-		MaxBatch:       *maxBatch,
-		GenTTL:         *genTTL,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("coordinating %d shards on %s (timeout %s, shard timeout %s, cache %s)\n",
-		len(urls), *addr, *timeout, *shardTimeout, *cacheBudget)
-	return serveLoop(func() error { return coord.ListenAndServe(*addr) }, coord.Shutdown)
+	fmt.Printf("serving on %s (timeout %s)\n", *addr, *timeout)
+	return serveLoop(s, *addr)
 }
 
 // parseMix parses "isalias=60,aliases=15,pointsto=15,pointedby=10".
@@ -502,10 +305,7 @@ func benchServe(args []string) error {
 	stride := fs.Int("stride", 10, "base-pointer stride (§7.1.1 population)")
 	seed := fs.Int64("seed", 1, "query-stream seed")
 	mixSpec := fs.String("mix", "", "query mix, e.g. isalias=60,aliases=15,pointsto=15,pointedby=10")
-	shards := fs.Int("shards", 0, "spawn a loopback coordinator tier of N shards from -in and bench it (ignores -addr)")
-	tenants := fs.Int("tenants", 0, "address batches round-robin to N tenant backends t0..tN-1 (registered when -shards spawns the tier)")
 	zipfS := fs.Float64("zipf", 0, "zipfian exponent for argument skew (>1 enables; 0 = uniform)")
-	minHitRatio := fs.Float64("min-hit-ratio", -1, "fail unless the coordinator answer-cache hit ratio reaches this (needs a coordinator target)")
 	fs.Parse(args)
 	if *in == "" {
 		return fmt.Errorf("bench-serve needs -in")
@@ -528,55 +328,13 @@ func benchServe(args []string) error {
 			return err
 		}
 	}
-	var backends []string
-	if *tenants > 1 {
-		for i := 0; i < *tenants; i++ {
-			backends = append(backends, fmt.Sprintf("t%d", i))
-		}
-	}
 	target := strings.TrimSuffix(*addr, "/")
-	if *shards > 0 {
-		// Self-contained tier: N loopback shard servers all serving the
-		// already-decoded index (under every tenant name), fronted by a
-		// coordinator on another loopback listener.
-		servers := make([]*server.Server, *shards)
-		names := backends
-		if len(names) == 0 {
-			names = []string{"default"}
-		}
-		for i := range servers {
-			servers[i] = server.New(server.Options{})
-			for _, name := range names {
-				if err := servers[i].AddIndex(name, idx); err != nil {
-					return err
-				}
-			}
-		}
-		tier, err := startShards(servers, server.CoordOptions{})
-		if err != nil {
-			return err
-		}
-		defer tier.cleanup()
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		go tier.coord.Serve(l)
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			tier.coord.Shutdown(ctx)
-		}()
-		target = "http://" + l.Addr().String()
-		fmt.Printf("spawned %d-shard tier (tenants %s) coordinated at %s\n",
-			*shards, strings.Join(names, " "), target)
-	}
 	fmt.Printf("replaying %d×%d queries over %d base pointers against %s\n",
 		*n, *batch, len(base), target)
-	report, err := server.RunBench(context.Background(), server.BenchOptions{
+	ctx := context.Background()
+	report, err := server.RunBench(ctx, server.BenchOptions{
 		URL:         target,
 		Backend:     *backend,
-		Backends:    backends,
 		Base:        base,
 		NumObjects:  idx.NumObjects,
 		Requests:    *n,
@@ -590,47 +348,30 @@ func benchServe(args []string) error {
 		return err
 	}
 	fmt.Println(report)
-	// A coordinator target also reports its deduplication economics: the
-	// answer-cache hit ratio, how the shard fan-out balanced, and the two
-	// other dedup levels. Absence of the endpoint (a plain server) is not
-	// an error unless -min-hit-ratio demanded a cache.
-	cstats, err := server.FetchCoordStats(context.Background(), target)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pestrie: coordinator stats unavailable: %v\n", err)
-	} else if cstats != nil {
-		fmt.Printf("cache: %.1f%% hit ratio (%d hits, %d misses, %s of %s, %d evictions)\n",
-			100*cstats.Cache.HitRatio, cstats.Cache.Hits, cstats.Cache.Misses,
-			perf.Bytes(cstats.Cache.Bytes), perf.Bytes(cstats.Cache.Budget), cstats.Cache.Evictions)
-		fmt.Printf("dedup: %d intra-batch, %d singleflight joins\n",
-			cstats.BatchDedup, cstats.SingleflightWaits)
-		for i, sh := range cstats.Shards {
-			fmt.Printf("shard %d %s: %d requests, %d queries, %d errors, p50=%s p99=%s\n",
-				i, sh.URL, sh.Requests, sh.Queries, sh.Errors,
-				time.Duration(sh.Latency.P50NS), time.Duration(sh.Latency.P99NS))
-		}
-	}
-	if *minHitRatio >= 0 {
-		if cstats == nil {
-			return fmt.Errorf("bench-serve: -min-hit-ratio needs a coordinator target, %s has no /debug/coord", target)
-		}
-		if cstats.Cache.HitRatio < *minHitRatio {
-			return fmt.Errorf("bench-serve: cache hit ratio %.3f below required %.3f",
-				cstats.Cache.HitRatio, *minHitRatio)
-		}
+	// The server's answer-cache counters: how much of the stream (and of
+	// any earlier traffic) was answered from cached list answers.
+	var stats server.Stats
+	if _, err := server.FetchJSON(ctx, target, "/debug/stats", &stats); err != nil {
+		fmt.Fprintf(os.Stderr, "pestrie: server stats unavailable: %v\n", err)
+	} else {
+		c := stats.Cache
+		fmt.Printf("answer cache (server totals): %.1f%% hit ratio (%d hits, %d misses, %s of %s, %d evictions)\n",
+			100*c.HitRatio, c.Hits, c.Misses, perf.Bytes(c.Bytes), perf.Bytes(c.Budget), c.Evictions)
 	}
 	// Store-backed servers also expose refresh economics: how many times
 	// each backend was fully decoded vs advanced by applying delta
 	// segments, and what each path cost. Absence of the endpoint (an eager
 	// -in server) is not an error.
-	stats, err := server.FetchStoreStats(context.Background(), target)
+	var sstats store.Stats
+	found, err := server.FetchJSON(ctx, target, "/debug/store", &sstats)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pestrie: store stats unavailable: %v\n", err)
 		return nil
 	}
-	if stats == nil {
+	if !found {
 		return nil
 	}
-	for _, e := range stats.Backends {
+	for _, e := range sstats.Backends {
 		if *backend != "" && e.Name != *backend {
 			continue
 		}

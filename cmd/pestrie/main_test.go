@@ -197,8 +197,8 @@ func TestErrors(t *testing.T) {
 
 // TestServeAndBenchServe runs the full serve workflow end to end: encode a
 // matrix, build the server from the -in spec, drive it over a real HTTP
-// listener with the bench-serve subcommand, and hit the single-query and
-// stats endpoints.
+// listener with a zipf-skewed bench-serve stream, and hit the single-query
+// and stats endpoints.
 func TestServeAndBenchServe(t *testing.T) {
 	dir := t.TempDir()
 	ptm := writeTestMatrix(t, dir)
@@ -220,7 +220,7 @@ func TestServeAndBenchServe(t *testing.T) {
 
 	if err := benchServe([]string{
 		"-addr", ts.URL, "-in", pes, "-n", "5", "-batch", "20",
-		"-concurrency", "2", "-stride", "1",
+		"-concurrency", "2", "-stride", "1", "-zipf", "1.2",
 		"-mix", "isalias=50,aliases=20,pointsto=20,pointedby=10",
 	}); err != nil {
 		t.Fatalf("bench-serve: %v", err)
@@ -240,6 +240,11 @@ func TestServeAndBenchServe(t *testing.T) {
 	st := s.Stats()
 	if st.Backends["default"]["batch"].Count != 5 {
 		t.Fatalf("batch count = %d, want 5", st.Backends["default"]["batch"].Count)
+	}
+	// Six pointers and three objects under a skewed stream: list queries
+	// repeat, so some must be answered from the cache.
+	if st.Cache.Hits == 0 {
+		t.Fatalf("skewed stream never hit the answer cache: %+v", st.Cache)
 	}
 }
 
@@ -360,68 +365,5 @@ func TestParseMix(t *testing.T) {
 		if _, err := parseMix(bad); err == nil {
 			t.Fatalf("parseMix(%q) accepted", bad)
 		}
-	}
-}
-
-// TestShardedTierEndToEnd builds the serve -shards plumbing directly: a
-// 3-shard tier over one encoded file must answer exactly like a single
-// eager server, and its coordinator must expose /debug/coord.
-func TestShardedTierEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	ptm := writeTestMatrix(t, dir)
-	pes := filepath.Join(dir, "m.pes")
-	if err := encode([]string{"-in", ptm, "-out", pes}); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-
-	servers, _, cleanup, err := buildServers(3, pes, "", server.Options{}, store.Options{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-	tier, err := startShards(servers, server.CoordOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tier.cleanup()
-	cts := httptest.NewServer(tier.coord.Handler())
-	defer cts.Close()
-
-	single, err := newQueryServer(pes, server.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sts := httptest.NewServer(single.Handler())
-	defer sts.Close()
-
-	body := `{"queries":[{"op":"aliases","p":0},{"op":"pointsto","p":2},{"op":"isalias","p":0,"q":1},{"op":"pointedby","o":1}]}`
-	fetch := func(url string) string {
-		t.Helper()
-		resp, err := http.Post(url+"/batch", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", url, resp.StatusCode, raw)
-		}
-		return string(raw)
-	}
-	want := fetch(sts.URL)
-	if got := fetch(cts.URL); got != want {
-		t.Fatalf("tier answer diverges:\nwant %s\ngot  %s", want, got)
-	}
-
-	resp, err := http.Get(cts.URL + "/debug/coord")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/coord status %d", resp.StatusCode)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"pestrie/internal/perf"
-	"pestrie/internal/store"
 )
 
 // Mix weights the §7.1.1 query mix the load generator replays: base
@@ -37,11 +36,6 @@ func (m Mix) total() int { return m.IsAlias + m.Aliases + m.PointsTo + m.Pointed
 type BenchOptions struct {
 	URL     string // server base URL, e.g. http://localhost:7171
 	Backend string // backend name; empty for a single-backend server
-
-	// Backends, when non-empty, makes the run multi-tenant: each batch is
-	// addressed to Backends[i % len] (deterministic in the batch index),
-	// overriding Backend.
-	Backends []string
 
 	Base       []int // base-pointer query population (synth.BasePointers)
 	NumObjects int   // object ID space for pointedby queries
@@ -73,26 +67,6 @@ func splitmix64(x uint64) uint64 {
 // the query stream is identical at any concurrency level.
 func batchSeed(seed int64, i int) int64 {
 	return int64(splitmix64(splitmix64(uint64(seed)) ^ uint64(i)))
-}
-
-// BatchSeed exposes batchSeed for harnesses that must reproduce the exact
-// stream RunBench would send (the exper identity gate, golden tests).
-func BatchSeed(seed int64, i int) int64 { return batchSeed(seed, i) }
-
-// GenQueries exposes genQueries for the same harnesses.
-func GenQueries(rng *rand.Rand, opts *BenchOptions) []Query { return genQueries(rng, opts) }
-
-// MarshalBatchRequest renders a /batch request body.
-func MarshalBatchRequest(backend string, queries []Query) ([]byte, error) {
-	return json.Marshal(batchRequest{Backend: backend, Queries: queries})
-}
-
-// batchBackend returns the tenant batch i is addressed to.
-func batchBackend(opts *BenchOptions, i int) string {
-	if len(opts.Backends) > 0 {
-		return opts.Backends[i%len(opts.Backends)]
-	}
-	return opts.Backend
 }
 
 // BenchReport summarizes one load-generation run.
@@ -221,7 +195,7 @@ func RunBench(ctx context.Context, opts BenchOptions) (*BenchReport, error) {
 				}
 				rng := rand.New(rand.NewSource(batchSeed(opts.Seed, i)))
 				queries := genQueries(rng, &opts)
-				body, err := json.Marshal(batchRequest{Backend: batchBackend(&opts, i), Queries: queries})
+				body, err := json.Marshal(batchRequest{Backend: opts.Backend, Queries: queries})
 				if err != nil {
 					recordFatal(err)
 					continue
@@ -258,61 +232,28 @@ func RunBench(ctx context.Context, opts BenchOptions) (*BenchReport, error) {
 	return report, nil
 }
 
-// FetchStoreStats retrieves the /debug/store snapshot from a running
-// server: per-backend generation stamps, delta-chain lengths, and the
-// full-load vs delta-apply latency split. It returns (nil, nil) when the
-// server has no managed store — eager -in deployments answer 404 there —
-// so callers can report store state opportunistically after a bench run.
-func FetchStoreStats(ctx context.Context, baseURL string) (*store.Stats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/debug/store", nil)
+// FetchJSON decodes the JSON a running server answers at GET baseURL+path
+// into v — /debug/stats or /debug/store, for reporting after a bench run.
+// It reports false with no error when the server answers 404, as one
+// without a managed store does at /debug/store.
+func FetchJSON(ctx context.Context, baseURL, path string, v any) (bool, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+path, nil)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil
+		return false, nil
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
+		return false, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
-	var out store.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// FetchCoordStats retrieves the /debug/coord snapshot from a running
-// coordinator: cache hit ratio, per-shard balance, dedup counters. It
-// returns (nil, nil) when the target is a plain single-process server —
-// those answer 404 there — so callers can report opportunistically.
-func FetchCoordStats(ctx context.Context, baseURL string) (*CoordStats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/debug/coord", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	var out CoordStats
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return true, json.NewDecoder(resp.Body).Decode(v)
 }
 
 func send(ctx context.Context, client *http.Client, url string, body []byte) (*BatchResponse, error) {

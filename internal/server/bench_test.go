@@ -46,8 +46,8 @@ func TestBatchSeedGolden(t *testing.T) {
 }
 
 // TestGenQueriesDeterministic pins that one (seed, batch index) pair
-// always yields the same queries — the property the coordinator identity
-// gate and any recorded benchmark depend on.
+// always yields the same queries — the property any recorded benchmark
+// depends on.
 func TestGenQueriesDeterministic(t *testing.T) {
 	opts := BenchOptions{
 		Base:       []int{3, 17, 42, 99, 140},
@@ -56,12 +56,12 @@ func TestGenQueriesDeterministic(t *testing.T) {
 		Mix:        DefaultMix,
 		ZipfS:      1.2,
 	}
-	a := GenQueries(rand.New(rand.NewSource(BatchSeed(9, 4))), &opts)
-	b := GenQueries(rand.New(rand.NewSource(BatchSeed(9, 4))), &opts)
+	a := genQueries(rand.New(rand.NewSource(batchSeed(9, 4))), &opts)
+	b := genQueries(rand.New(rand.NewSource(batchSeed(9, 4))), &opts)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed and batch index produced different queries")
 	}
-	c := GenQueries(rand.New(rand.NewSource(BatchSeed(9, 5))), &opts)
+	c := genQueries(rand.New(rand.NewSource(batchSeed(9, 5))), &opts)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different batch indices produced identical queries")
 	}

@@ -35,8 +35,8 @@ func queryKey(backend, gen string, q Query) string {
 
 // cacheEntry is one cached Result. The Result's IDs slice is shared with
 // every response serving the hit — safe because Results are immutable
-// after construction, and required for the byte-identity contract (the
-// cached bytes ARE the bytes a shard returned).
+// after construction, and what keeps a cached answer byte-identical to a
+// computed one (the cached bytes ARE the first computation's encoding).
 type cacheEntry struct {
 	key  string
 	res  Result
@@ -51,7 +51,7 @@ func entrySize(key string, res Result) int64 {
 	return int64(len(key)+len(res.IDs)+len(res.Err)) + 96
 }
 
-// answerCache is the coordinator's bounded LRU of query answers. All
+// answerCache is the server's bounded LRU of list-query answers. All
 // methods are safe for concurrent use; the counters are atomics so stats
 // reads never contend with the hot path more than the one mutex already
 // does.
@@ -68,9 +68,7 @@ type answerCache struct {
 	evictions atomic.Int64
 }
 
-// newAnswerCache returns a cache bounded at budget bytes. A non-positive
-// budget disables caching entirely (every get misses, every put is
-// dropped) — the coordinator still dedups via singleflight.
+// newAnswerCache returns a cache bounded at budget bytes.
 func newAnswerCache(budget int64) *answerCache {
 	return &answerCache{
 		budget: budget,
@@ -79,12 +77,7 @@ func newAnswerCache(budget int64) *answerCache {
 	}
 }
 
-func (c *answerCache) enabled() bool { return c.budget > 0 }
-
 func (c *answerCache) get(key string) (Result, bool) {
-	if !c.enabled() {
-		return Result{}, false
-	}
 	c.mu.Lock()
 	el, ok := c.index[key]
 	if !ok {
@@ -100,9 +93,6 @@ func (c *answerCache) get(key string) (Result, bool) {
 }
 
 func (c *answerCache) put(key string, res Result) {
-	if !c.enabled() {
-		return
-	}
 	size := entrySize(key, res)
 	if size > c.budget {
 		return // a single oversized answer must not wipe the whole cache
@@ -133,7 +123,7 @@ func (c *answerCache) put(key string, res Result) {
 	}
 }
 
-// CacheStats is the answer-cache section of /debug/coord.
+// CacheStats is the answer-cache section of /debug/stats.
 type CacheStats struct {
 	Budget    int64   `json:"budget"`
 	Bytes     int64   `json:"bytes"`

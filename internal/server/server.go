@@ -8,7 +8,7 @@
 //	POST /query        one Table-1 query  {"backend","op","p","q","o"}
 //	POST /batch        many queries       {"backend","queries":[...]}, answered by a worker pool
 //	GET  /backends     catalogued indexes and their dimensions
-//	GET  /debug/stats  per-backend/per-op counters and latency histograms
+//	GET  /debug/stats  per-backend/per-op counters, latency histograms, answer-cache counters
 //	GET  /debug/store  store lifecycle state (budget, evictions, generations)
 //	GET  /healthz      liveness probe
 //
@@ -24,6 +24,9 @@
 // byte-identical to what an in-process caller would encode. The Index is
 // immutable after Load, which is what makes the whole service a pile of
 // lock-free concurrent readers (pinned by the package's -race tests).
+// List answers also land in a byte-budgeted LRU keyed on the version tag
+// of the generation the request pinned, so a repeated query is answered
+// from the encoded bytes of its first answer (see cache.go).
 package server
 
 import (
@@ -86,10 +89,33 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+const (
+	// cacheBudget bounds the answer cache's approximate memory footprint.
+	cacheBudget = 64 << 20
+
+	// Request bodies are read through http.MaxBytesReader, so one request
+	// cannot make the decoder allocate without bound. A query spelled out
+	// with three 10-digit IDs is under 80 bytes; queryBytes leaves room for
+	// whitespace on top. envelopeBytes covers the rest of a body: the
+	// backend name and the JSON framing.
+	queryBytes    = 256
+	envelopeBytes = 4 << 10
+)
+
+// bodyLimit is the byte limit on a request body carrying n queries.
+func bodyLimit(n int) int64 { return envelopeBytes + int64(n)*queryBytes }
+
+// Sentinel errors of resolve; resolveStatus maps both to 404.
+var (
+	errUnknownBackend = errors.New("server: unknown backend")
+	errUnnamedBackend = errors.New("request must name one")
+)
+
 // Server answers pointer queries over one or more named indexes.
 type Server struct {
 	opts  Options
 	start time.Time
+	cache *answerCache
 
 	mu       sync.RWMutex // guards backends registration; reads on hot path
 	backends map[string]*backend
@@ -115,11 +141,12 @@ func newBackend(name string, ix *core.Index) *backend {
 	return b
 }
 
-// staticTag is the version tag of an eagerly-registered index. Static
-// indexes never change within a process, so the tag only needs to be
-// deterministic across processes serving the same file — the structural
-// dimensions are a cheap content signature for that (a coordinator caching
-// on it compares tags from different shard processes).
+// staticTag is the version tag of an eagerly-registered index: the
+// generation a /batch reply reports and the answer-cache key's version.
+// A static backend name is bound to one index for the life of the
+// process, so the tag needs no content hash; the structural dimensions
+// keep it the same for every process serving the same file, and the "s:"
+// prefix keeps it apart from store tags ("<hash>@<stamp>").
 func staticTag(ix *core.Index) string {
 	return fmt.Sprintf("s:%d.%d.%d.%d", ix.NumPointers, ix.NumObjects, ix.NumGroups, ix.Rectangles())
 }
@@ -136,6 +163,7 @@ func New(opts Options) *Server {
 	return &Server{
 		opts:     opts.withDefaults(),
 		start:    time.Now(),
+		cache:    newAnswerCache(cacheBudget),
 		backends: make(map[string]*backend),
 	}
 }
@@ -209,31 +237,35 @@ func (s *Server) statsFor(name string) *backend {
 }
 
 // resolve maps a request's backend name to an index ready to query, plus
-// the version tag identifying the content the answers correspond to (the
-// cache-key generation a coordinator needs). The empty name is allowed
-// when exactly one backend is resolvable. For store-resolved backends the
-// returned release func unpins the decoded generation and must be called
-// when the request is done; it is nil for static backends.
+// the version tag identifying the content the answers correspond to — the
+// generation a /batch reply reports and the answer cache keys on. The
+// empty name is allowed when exactly one backend is resolvable. For
+// store-resolved backends the returned release func unpins the decoded
+// generation and must be called when the request is done; it is nil for
+// static backends.
 func (s *Server) resolve(ctx context.Context, name string) (*backend, delta.Index, string, func(), error) {
 	if name == "" {
 		names := s.names()
 		if len(names) != 1 {
-			return nil, nil, "", nil, fmt.Errorf("server: %d backends loaded, request must name one", len(names))
+			return nil, nil, "", nil, fmt.Errorf("server: %d backends loaded, %w", len(names), errUnnamedBackend)
 		}
 		name = names[0]
 	}
+	// ix and tag are read under the lock: AddIndex writes both when a
+	// static index adopts the stats shell of a store backend.
 	s.mu.RLock()
 	b, ok := s.backends[name]
-	tag := ""
+	var ix *core.Index
+	var tag string
 	if ok {
-		tag = b.tag
+		ix, tag = b.ix, b.tag
 	}
 	s.mu.RUnlock()
-	if ok && b.ix != nil {
-		return b, b.ix, tag, nil, nil
+	if ix != nil {
+		return b, ix, tag, nil, nil
 	}
 	if s.opts.Store == nil {
-		return nil, nil, "", nil, fmt.Errorf("server: unknown backend %q", name)
+		return nil, nil, "", nil, fmt.Errorf("%w %q", errUnknownBackend, name)
 	}
 	h, err := s.opts.Store.Acquire(ctx, name)
 	if err != nil {
@@ -264,8 +296,11 @@ type Result struct {
 // index is passed in (rather than read from b) because store-resolved
 // backends pin a possibly different generation per request — a plain
 // decoded base, or a delta-chain snapshot whose answers are frozen at
-// that generation's stamp.
-func (b *backend) exec(ix delta.Index, q Query) Result {
+// that generation's stamp — and tag is that generation's version tag.
+// List answers are served from the answer cache under (backend, tag,
+// query); isalias is cheaper to answer than to look up, so it is not
+// cached.
+func (s *Server) exec(b *backend, ix delta.Index, tag string, q Query) Result {
 	// Start the clock before validation: error responses cost real time
 	// too, and a histogram that only sees successes reports flattering
 	// latencies the moment clients start sending malformed queries.
@@ -285,6 +320,7 @@ func (b *backend) exec(ix delta.Index, q Query) Result {
 	}
 	var res Result
 	var err error
+	var list func() []int
 	switch q.Op {
 	case "isalias":
 		var p, qq int
@@ -297,17 +333,26 @@ func (b *backend) exec(ix delta.Index, q Query) Result {
 	case "aliases":
 		var p int
 		if p, err = need("p", q.P, ix.Pointers()); err == nil {
-			res.IDs, err = marshalIDs(ix.ListAliases(p))
+			list = func() []int { return ix.ListAliases(p) }
 		}
 	case "pointsto":
 		var p int
 		if p, err = need("p", q.P, ix.Pointers()); err == nil {
-			res.IDs, err = marshalIDs(ix.ListPointsTo(p))
+			list = func() []int { return ix.ListPointsTo(p) }
 		}
 	case "pointedby":
 		var o int
 		if o, err = need("o", q.O, ix.Objects()); err == nil {
-			res.IDs, err = marshalIDs(ix.ListPointedBy(o))
+			list = func() []int { return ix.ListPointedBy(o) }
+		}
+	}
+	if list != nil {
+		key := queryKey(b.name, tag, q)
+		var hit bool
+		if res, hit = s.cache.get(key); !hit {
+			if res.IDs, err = marshalIDs(list()); err == nil {
+				s.cache.put(key, res)
+			}
 		}
 	}
 	if err != nil {
@@ -335,7 +380,7 @@ func marshalIDs(ids []int) (json.RawMessage, error) {
 // gets an explicit per-result error — a zero-value Result would read as a
 // legitimate empty answer, silently truncating the batch — and the count
 // of those is returned so callers can surface and meter the truncation.
-func (s *Server) runBatch(ctx context.Context, b *backend, ix delta.Index, queries []Query) ([]Result, int) {
+func (s *Server) runBatch(ctx context.Context, b *backend, ix delta.Index, tag string, queries []Query) ([]Result, int) {
 	results := make([]Result, len(queries))
 	workers := s.opts.BatchWorkers
 	if workers > len(queries) {
@@ -348,7 +393,7 @@ func (s *Server) runBatch(ctx context.Context, b *backend, ix delta.Index, queri
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i] = b.exec(ix, queries[i])
+				results[i] = s.exec(b, ix, tag, queries[i])
 			}
 		}()
 	}
@@ -380,7 +425,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /query", s.handleQuery)
 	mux.HandleFunc("POST /batch", s.handleBatch)
 	mux.HandleFunc("GET /backends", s.handleBackends)
-	mux.HandleFunc("GET /generations", s.handleGenerations)
 	mux.HandleFunc("GET /debug/stats", s.handleStats)
 	mux.HandleFunc("GET /debug/store", s.handleStore)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -422,13 +466,29 @@ type queryRequest struct {
 	Query
 }
 
+// decodeBody decodes a JSON request body of at most limit bytes into v.
+// On failure it writes the error reply — 413 for a body over the limit,
+// 400 for anything else — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("decoding request: %w", err))
+	return false
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, bodyLimit(1), &req) {
 		return
 	}
-	b, ix, _, release, err := s.resolve(r.Context(), req.Backend)
+	b, ix, tag, release, err := s.resolve(r.Context(), req.Backend)
 	if err != nil {
 		writeError(w, resolveStatus(err), err)
 		return
@@ -436,7 +496,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if release != nil {
 		defer release()
 	}
-	res := b.exec(ix, req.Query)
+	res := s.exec(b, ix, tag, req.Query)
 	if res.Err != "" {
 		writeJSON(w, http.StatusBadRequest, res)
 		return
@@ -448,8 +508,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // aren't in the catalog are the client's fault (404), a catalogued file
 // that fails to decode is the server's (502).
 func resolveStatus(err error) int {
-	if errors.Is(err, store.ErrUnknown) || strings.Contains(err.Error(), "unknown backend") ||
-		strings.Contains(err.Error(), "request must name one") {
+	if errors.Is(err, store.ErrUnknown) || errors.Is(err, errUnknownBackend) || errors.Is(err, errUnnamedBackend) {
 		return http.StatusNotFound
 	}
 	return http.StatusBadGateway
@@ -460,24 +519,20 @@ type batchRequest struct {
 	Queries []Query `json:"queries"`
 }
 
-// BatchResponse is the reply to POST /batch, from a single server or a
-// coordinator. Generation is the version tag of the content the answers
-// correspond to (a coordinator omits it when its shards disagree);
-// Unanswered counts queries a timed-out batch returned with per-result
-// errors instead of answers; Partial names the shards a coordinator could
-// not reach. Field order matters: a healthy coordinator reply must be
-// byte-identical to a single-process one.
+// BatchResponse is the reply to POST /batch. Generation is the version
+// tag of the generation the batch pinned, so a client can tell which
+// content every answer in the reply corresponds to (for a store backend,
+// "<base hash>@<delta stamp>"); Unanswered counts queries a timed-out
+// batch returned with per-result errors instead of answers.
 type BatchResponse struct {
-	Results    []Result     `json:"results"`
-	Generation string       `json:"generation,omitempty"`
-	Unanswered int          `json:"unanswered,omitempty"`
-	Partial    []ShardError `json:"partial,omitempty"`
+	Results    []Result `json:"results"`
+	Generation string   `json:"generation,omitempty"`
+	Unanswered int      `json:"unanswered,omitempty"`
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, bodyLimit(s.opts.MaxBatch), &req) {
 		return
 	}
 	if len(req.Queries) > s.opts.MaxBatch {
@@ -494,7 +549,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		defer release()
 	}
 	start := time.Now()
-	results, unanswered := s.runBatch(r.Context(), b, ix, req.Queries)
+	results, unanswered := s.runBatch(r.Context(), b, ix, tag, req.Queries)
 	st := b.stats["batch"]
 	st.count.Add(1)
 	st.lat.Observe(time.Since(start))
@@ -587,38 +642,6 @@ func sortBackends(bs []BackendInfo) {
 	}
 }
 
-// GenerationsResponse is the GET /generations payload: the version tag of
-// every backend that can answer without loading anything — static indexes
-// plus loaded store entries. A coordinator polls this to revalidate its
-// cache watermarks without paying a query.
-type GenerationsResponse struct {
-	Generations map[string]string `json:"generations"`
-}
-
-func (s *Server) handleGenerations(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, GenerationsResponse{Generations: s.Generations()})
-}
-
-// Generations reports the version tag of every static backend and every
-// loaded store entry. Unloaded store entries are omitted rather than
-// loaded: minting a tag must never cost a decode.
-func (s *Server) Generations() map[string]string {
-	out := make(map[string]string)
-	if s.opts.Store != nil {
-		for name, tag := range s.opts.Store.VersionTags() {
-			out[name] = tag
-		}
-	}
-	s.mu.RLock()
-	for name, b := range s.backends {
-		if b.ix != nil {
-			out[name] = b.tag // static shadows the store entry, as resolve does
-		}
-	}
-	s.mu.RUnlock()
-	return out
-}
-
 // OpStats is the monitoring snapshot for one (backend, op) pair.
 type OpStats struct {
 	Count    int64                  `json:"count"`
@@ -631,6 +654,7 @@ type OpStats struct {
 type Stats struct {
 	UptimeMS int64                         `json:"uptime_ms"`
 	Backends map[string]map[string]OpStats `json:"backends"`
+	Cache    CacheStats                    `json:"cache"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -644,6 +668,7 @@ func (s *Server) Stats() Stats {
 	out := Stats{
 		UptimeMS: time.Since(s.start).Milliseconds(),
 		Backends: make(map[string]map[string]OpStats, len(s.backends)),
+		Cache:    s.cache.stats(),
 	}
 	for name, b := range s.backends {
 		ops := make(map[string]OpStats, len(b.stats))

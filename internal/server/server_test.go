@@ -123,8 +123,11 @@ func TestQueryEndpointsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestBatchMatchesDirectCalls sends one batch twice: both replies must
+// match direct Index calls, and the second — every list answer served by
+// the answer cache — must be byte-identical to the first.
 func TestBatchMatchesDirectCalls(t *testing.T) {
-	_, ix, ts := newTestServer(t, Options{BatchWorkers: 4})
+	s, ix, ts := newTestServer(t, Options{BatchWorkers: 4})
 	rng := rand.New(rand.NewSource(5))
 	var queries []Query
 	var want []string // expected ids encoding, or "alias:<bool>"
@@ -147,28 +150,42 @@ func TestBatchMatchesDirectCalls(t *testing.T) {
 			want = append(want, directIDs(t, ix.ListPointedBy(o)))
 		}
 	}
-	resp, body := postJSON(t, ts.URL+"/batch", batchRequest{Queries: queries})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var br BatchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Results) != len(queries) {
-		t.Fatalf("%d results for %d queries", len(br.Results), len(queries))
-	}
-	for i, res := range br.Results {
-		if res.Err != "" {
-			t.Fatalf("query %d: unexpected error %q", i, res.Err)
+	var first []byte
+	var hits int64
+	for pass := 0; pass < 2; pass++ {
+		resp, body := postJSON(t, ts.URL+"/batch", batchRequest{Queries: queries})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("pass %d: status %d: %s", pass, resp.StatusCode, body)
 		}
-		got := string(res.IDs)
-		if queries[i].Op == "isalias" {
-			got = fmt.Sprintf("alias:%v", res.Alias != nil && *res.Alias)
+		if pass == 0 {
+			first, hits = body, s.Stats().Cache.Hits
+		} else if !bytes.Equal(body, first) {
+			t.Fatalf("cache-served reply diverges from the computed one:\n%s\n%s", first, body)
 		}
-		if got != want[i] {
-			t.Fatalf("query %d (%s): served %s, direct %s", i, queries[i].Op, got, want[i])
+		var br BatchResponse
+		if err := json.Unmarshal(body, &br); err != nil {
+			t.Fatal(err)
 		}
+		if len(br.Results) != len(queries) {
+			t.Fatalf("%d results for %d queries", len(br.Results), len(queries))
+		}
+		for i, res := range br.Results {
+			if res.Err != "" {
+				t.Fatalf("query %d: unexpected error %q", i, res.Err)
+			}
+			got := string(res.IDs)
+			if queries[i].Op == "isalias" {
+				got = fmt.Sprintf("alias:%v", res.Alias != nil && *res.Alias)
+			}
+			if got != want[i] {
+				t.Fatalf("pass %d, query %d (%s): served %s, direct %s", pass, i, queries[i].Op, got, want[i])
+			}
+		}
+	}
+	// Every list query of the second pass is a hit; isalias is never cached.
+	lists := int64(len(queries) - len(queries)/4)
+	if got := s.Stats().Cache.Hits - hits; got != lists {
+		t.Fatalf("second pass hit the cache %d times, want %d (one per list query)", got, lists)
 	}
 }
 
@@ -266,6 +283,10 @@ func TestRequestErrors(t *testing.T) {
 		"missing id":      {ts.URL + "/query", queryRequest{Backend: "default", Query: Query{Op: "aliases"}}, http.StatusBadRequest},
 		"out of range":    {ts.URL + "/query", queryRequest{Backend: "default", Query: Query{Op: "pointsto", P: intp(ix.NumPointers)}}, http.StatusBadRequest},
 		"oversized batch": {ts.URL + "/batch", batchRequest{Backend: "default", Queries: make([]Query, 11)}, http.StatusRequestEntityTooLarge},
+		// Bodies past the byte limit are refused before they are decoded,
+		// whatever they would have decoded to.
+		"oversized query body": {ts.URL + "/query", queryRequest{Backend: strings.Repeat("x", 8<<10), Query: Query{Op: "isalias", P: intp(0), Q: intp(0)}}, http.StatusRequestEntityTooLarge},
+		"oversized batch body": {ts.URL + "/batch", batchRequest{Backend: "default", Queries: []Query{{Op: strings.Repeat("x", 8<<10)}}}, http.StatusRequestEntityTooLarge},
 	} {
 		resp, body := postJSON(t, tc.url, tc.req)
 		if resp.StatusCode != tc.status {
@@ -329,7 +350,7 @@ func TestBatchTimeout(t *testing.T) {
 // tail, and the count must match the reported unanswered total.
 func TestBatchCancelMarksUnanswered(t *testing.T) {
 	s, _, _ := newTestServer(t, Options{BatchWorkers: 2})
-	b, ix, _, release, err := s.resolve(context.Background(), "")
+	b, ix, tag, release, err := s.resolve(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +388,7 @@ func TestBatchCancelMarksUnanswered(t *testing.T) {
 	// Pre-canceled: nothing may be fed, everything marked.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, unanswered := s.runBatch(ctx, b, ix, queries)
+	results, unanswered := s.runBatch(ctx, b, ix, tag, queries)
 	check(results, unanswered)
 	if unanswered != len(queries) {
 		t.Fatalf("pre-canceled batch answered %d queries", len(queries)-unanswered)
@@ -379,7 +400,7 @@ func TestBatchCancelMarksUnanswered(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		cancel()
 	}()
-	results, unanswered = s.runBatch(ctx, b, ix, queries)
+	results, unanswered = s.runBatch(ctx, b, ix, tag, queries)
 	check(results, unanswered)
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"pestrie/internal/core"
+	"pestrie/internal/delta"
 	"pestrie/internal/matrix"
 	"pestrie/internal/store"
 )
@@ -132,8 +134,56 @@ func TestStoreBackedServer(t *testing.T) {
 	}
 }
 
+// checkFreshAfterRefresh asks q twice through /batch — the repeat must
+// be served by the answer cache — then calls publish, which changes q's
+// answer on disk and returns the new one, and refreshes the store: the
+// very first request after that must carry the new answer under a new
+// generation tag, with no polling.
+func checkFreshAfterRefresh(t *testing.T, s *Server, st *store.Store, url string, q Query, want string, publish func() string) {
+	t.Helper()
+	ask := func() (string, string) {
+		t.Helper()
+		// Empty backend name: the single store entry must resolve.
+		resp, body := postJSON(t, url+"/batch", batchRequest{Queries: []Query{q}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var br BatchResponse
+		if err := json.Unmarshal(body, &br); err != nil {
+			t.Fatal(err)
+		}
+		return string(br.Results[0].IDs), br.Generation
+	}
+	got, gen := ask()
+	if got != want || gen == "" {
+		t.Fatalf("first answer %s under generation %q, want %s under a tag", got, gen, want)
+	}
+	hits := s.Stats().Cache.Hits
+	if got, _ := ask(); got != want {
+		t.Fatalf("repeated answer %s, want %s", got, want)
+	}
+	if s.Stats().Cache.Hits != hits+1 {
+		t.Fatal("the repeated query was not served from the answer cache")
+	}
+
+	want2 := publish()
+	if want2 == want {
+		t.Fatal("the published change leaves the answer as it was; pick other test data")
+	}
+	if err := st.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	got, gen2 := ask()
+	if got != want2 {
+		t.Fatalf("first answer after refresh %s, want the new generation's %s", got, want2)
+	}
+	if gen2 == gen {
+		t.Fatalf("new answer under the old generation tag %q", gen)
+	}
+}
+
 // TestStoreHotSwapWithoutRestart rewrites a served file and checks the
-// running server picks up the new generation after a Refresh.
+// running server answers from the new generation right after a Refresh.
 func TestStoreHotSwapWithoutRestart(t *testing.T) {
 	dir := t.TempDir()
 	ref1 := writeStorePes(t, dir, "app", testPM(60, 80, 20, 400))
@@ -147,30 +197,10 @@ func TestStoreHotSwapWithoutRestart(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	ask := func(p int) string {
-		t.Helper()
-		// Empty backend name: the single store entry must resolve.
-		resp, body := postJSON(t, ts.URL+"/query", queryRequest{Query: Query{Op: "aliases", P: intp(p)}})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("aliases(%d): status %d: %s", p, resp.StatusCode, body)
-		}
-		var res Result
-		if err := json.Unmarshal(body, &res); err != nil {
-			t.Fatal(err)
-		}
-		return string(res.IDs)
-	}
-	if got := ask(3); got != directIDs(t, ref1.ListAliases(3)) {
-		t.Fatalf("pre-swap answer %s", got)
-	}
-
-	ref2 := writeStorePes(t, dir, "app", testPM(61, 90, 22, 500))
-	if err := st.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if got := ask(3); got != directIDs(t, ref2.ListAliases(3)) {
-		t.Fatalf("post-swap answer %s, want new generation's %s", got, directIDs(t, ref2.ListAliases(3)))
-	}
+	checkFreshAfterRefresh(t, s, st, ts.URL, Query{Op: "aliases", P: intp(3)}, directIDs(t, ref1.ListAliases(3)), func() string {
+		ref2 := writeStorePes(t, dir, "app", testPM(61, 90, 22, 500))
+		return directIDs(t, ref2.ListAliases(3))
+	})
 	resp, err := http.Get(ts.URL + "/debug/store")
 	if err != nil {
 		t.Fatal(err)
@@ -185,15 +215,17 @@ func TestStoreHotSwapWithoutRestart(t *testing.T) {
 	}
 }
 
-func TestStoreResolveErrors(t *testing.T) {
+// TestStoreDeltaApplyWithoutRestart publishes a delta segment next to a
+// served base and checks the running server answers at the new stamp
+// right after a Refresh.
+func TestStoreDeltaApplyWithoutRestart(t *testing.T) {
 	dir := t.TempDir()
+	pm := testPM(62, 80, 20, 400)
+	ref := writeStorePes(t, dir, "app", pm)
+	base := filepath.Join(dir, "app.pes")
+
 	st := store.New(store.Options{})
 	defer st.Close()
-	// A catalogued entry whose file is corrupt: resolving is the
-	// server's failure (502), an uncatalogued name is the client's (404).
-	if err := os.WriteFile(filepath.Join(dir, "bad.pes"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := st.AddDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +233,81 @@ func TestStoreResolveErrors(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, _ := postJSON(t, ts.URL+"/query", queryRequest{Backend: "bad", Query: Query{Op: "aliases", P: intp(0)}})
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("corrupt backend: status %d, want 502", resp.StatusCode)
+	const p = 3
+	checkFreshAfterRefresh(t, s, st, ts.URL, Query{Op: "pointsto", P: intp(p)}, directIDs(t, ref.ListPointsTo(p)), func() string {
+		next := pm.Clone()
+		for o := 0; o < 4; o++ {
+			if next.Has(p, o) {
+				next.Remove(p, o)
+			} else {
+				next.Add(p, o)
+			}
+		}
+		seg, err := delta.Diff(pm, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg.Gen, seg.Parent = 1, 0
+		if seg.BaseHint, err = delta.FileHint(base); err != nil {
+			t.Fatal(err)
+		}
+		if err := delta.WriteSegmentFile(delta.SegmentPath(base, 1), seg); err != nil {
+			t.Fatal(err)
+		}
+		// The reference is the chain head, opened straight from disk.
+		vx, _, err := delta.Open(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer vx.Close()
+		return directIDs(t, vx.Head().ListPointsTo(p))
+	})
+	if snap := st.Snapshot(); snap.Backends[0].Applies != 1 || snap.Backends[0].Stamp != 1 {
+		t.Fatalf("delta apply not reflected: %+v", snap.Backends[0])
 	}
-	resp, _ = postJSON(t, ts.URL+"/query", queryRequest{Backend: "ghost", Query: Query{Op: "aliases", P: intp(0)}})
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown backend: status %d, want 404", resp.StatusCode)
+}
+
+// TestStoreResolveErrors pins how resolve failures map to statuses: names
+// that no backend answers to are the client's fault (404), a catalogued
+// file that fails to decode is the server's (502).
+func TestStoreResolveErrors(t *testing.T) {
+	dir := t.TempDir()
+	st := store.New(store.Options{})
+	defer st.Close()
+	if err := os.WriteFile(filepath.Join(dir, "bad.pes"), []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AddDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	ix := testIndex(t, testPM(63, 20, 6, 60))
+	static := New(Options{})
+	if err := static.AddIndex("solo", ix); err != nil {
+		t.Fatal(err)
+	}
+	// bad (store) plus solo (static): an empty name is ambiguous.
+	mixed := New(Options{Store: st})
+	if err := mixed.AddIndex("solo", ix); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		s       *Server
+		backend string
+		status  int
+	}{
+		{"static unknown", static, "ghost", http.StatusNotFound},
+		{"ambiguous empty name", mixed, "", http.StatusNotFound},
+		{"store unknown", mixed, "ghost", http.StatusNotFound},
+		{"store corrupt", mixed, "bad", http.StatusBadGateway},
+	} {
+		ts := httptest.NewServer(tc.s.Handler())
+		resp, body := postJSON(t, ts.URL+"/query", queryRequest{Backend: tc.backend, Query: Query{Op: "aliases", P: intp(0)}})
+		ts.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, body)
+		}
 	}
 }
 
@@ -396,7 +496,6 @@ func TestResolveConcurrentRegistration(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			s.Stats()
 			s.Backends()
-			s.Generations()
 		}
 	}()
 	wg.Wait()
@@ -411,5 +510,73 @@ func TestResolveConcurrentRegistration(t *testing.T) {
 	}
 	if len(s.Backends()) != 4+20 {
 		t.Fatalf("got %d backends, want 24", len(s.Backends()))
+	}
+}
+
+// TestResolveConcurrentAdoption resolves a store backend while AddIndex
+// registers a static index under the same name, which adopts the store
+// backend's stats shell: resolve must read the shell's index and tag under
+// the lock AddIndex writes them under (the -race run checks it), and every
+// answer must come from one of the two indexes.
+func TestResolveConcurrentAdoption(t *testing.T) {
+	dir := t.TempDir()
+	stored := writeStorePes(t, dir, "app", testPM(80, 60, 15, 250))
+	st := store.New(store.Options{})
+	defer st.Close()
+	if _, err := st.AddDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	static := testIndex(t, testPM(81, 60, 15, 250))
+	q := Query{Op: "pointsto", P: intp(5)}
+	want := map[string]bool{
+		directIDs(t, stored.ListPointsTo(5)): true,
+		directIDs(t, static.ListPointsTo(5)): true,
+	}
+	// An unordered read only shows when AddIndex lands in the short span
+	// between two of a reader's lock sections, so each round adopts once
+	// on a fresh server: one more chance for -race to see it.
+	for round := 0; round < 20; round++ {
+		s := New(Options{Store: st})
+		ask := func() string {
+			b, ix, tag, release, err := s.resolve(context.Background(), "app")
+			if err != nil {
+				t.Error(err)
+				return ""
+			}
+			if release != nil {
+				defer release()
+			}
+			return string(s.exec(b, ix, tag, q).IDs)
+		}
+		ask() // creates the stats shell AddIndex adopts
+
+		var running, wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			running.Add(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				stray := 0
+				for i := 0; i < 100; i++ {
+					if i == 10 {
+						running.Done()
+					}
+					if got := ask(); !want[got] {
+						stray++
+					}
+				}
+				if stray > 0 {
+					t.Errorf("%d pointsto(5) answers came from neither index", stray)
+				}
+			}()
+		}
+		running.Wait() // register while the readers are in full swing
+		if err := s.AddIndex("app", static); err != nil {
+			t.Error(err)
+		}
+		wg.Wait()
+		if got, want := ask(), directIDs(t, static.ListPointsTo(5)); got != want {
+			t.Fatalf("after adoption pointsto(5) = %s, want the static index's %s", got, want)
+		}
 	}
 }

@@ -344,35 +344,17 @@ func (h *Handle) Stamp() uint64 { return h.g.stamp() }
 // decoded from.
 func (h *Handle) Checksum() string { return hex.EncodeToString(h.g.sum[:]) }
 
-// VersionTag identifies the content this generation answers for: a
-// truncated content hash of the base file plus the delta-chain head stamp.
-// Two generations share a tag iff they serve the same base bytes at the
-// same stamp — including across processes — which is exactly the
-// invalidation granularity an answer cache keyed on (backend, tag, query)
-// needs: a hot-swap changes the hash, a delta apply changes the stamp, and
-// an evict-then-reload of an unchanged file keeps the tag (so cached
-// answers survive churn that doesn't change answers).
-func (h *Handle) VersionTag() string { return h.g.tag() }
-
-// tag renders the generation's version tag. 64 bits of SHA-256 is plenty
-// for a cache key namespace that only ever holds a handful of live tags.
-func (g *generation) tag() string {
-	return hex.EncodeToString(g.sum[:8]) + "@" + strconv.FormatUint(g.stamp(), 10)
-}
-
-// VersionTags returns the version tag of every loaded entry, keyed by
-// backend name. Unloaded entries are omitted — they have no generation to
-// tag, and forcing a load to mint one would defeat the budget.
-func (s *Store) VersionTags() map[string]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]string)
-	for name, e := range s.entries {
-		if e.gen != nil {
-			out[name] = e.gen.tag()
-		}
-	}
-	return out
+// VersionTag identifies the content this generation answers for:
+// "<hash>@<stamp>", a truncated content hash of the base file plus the
+// delta-chain head stamp. Two generations share a tag iff they serve the
+// same base bytes at the same stamp (published segments are never
+// rewritten), so a hot swap changes the tag, a delta apply changes the
+// stamp, and an evict-then-reload of an unchanged file keeps it. That is
+// the granularity a server needs to report which content a reply
+// corresponds to, and to key cached answers on. 64 bits of SHA-256 is
+// plenty for a namespace that only ever holds a handful of live tags.
+func (h *Handle) VersionTag() string {
+	return hex.EncodeToString(h.g.sum[:8]) + "@" + strconv.FormatUint(h.g.stamp(), 10)
 }
 
 // Generation returns the entry's generation sequence number at pin time

@@ -293,8 +293,9 @@ var (
 
 // QueryServer serves one or more loaded indexes as a concurrent HTTP/JSON
 // query service: the four Table-1 queries plus a batch endpoint answered
-// by a worker pool, with per-backend counters and latency histograms at
-// /debug/stats. Served answers are byte-identical to direct Index calls.
+// by a worker pool, with per-backend counters, latency histograms, and
+// answer-cache counters at /debug/stats. Served answers, cached ones
+// included, are byte-identical to direct Index calls.
 type QueryServer = server.Server
 
 // QueryServerOptions tune request timeouts, the batch worker pool, and
@@ -305,24 +306,6 @@ type QueryServerOptions = server.Options
 // with AddIndex, then Serve or ListenAndServe. Shutdown stops it
 // gracefully.
 func NewQueryServer(opts QueryServerOptions) *QueryServer { return server.New(opts) }
-
-// Coordinator fronts a tier of query-server shards: it hash-partitions
-// the pointer-ID space across them, fans batches out over persistent
-// connections with per-shard timeouts and partial-failure reporting, and
-// deduplicates repeated queries through an answer cache (keyed on backend
-// generation, so hot swaps invalidate naturally) plus singleflight.
-// Healthy answers are byte-identical to a single-process QueryServer at
-// the same generation.
-type Coordinator = server.Coordinator
-
-// CoordinatorOptions name the shard URLs and tune timeouts, the answer
-// cache budget, and generation revalidation.
-type CoordinatorOptions = server.CoordOptions
-
-// NewCoordinator returns a coordinator over the given shard tier.
-func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
-	return server.NewCoordinator(opts)
-}
 
 // --- managed index store (cmd/pestrie serve -store-dir) -----------------
 
