@@ -20,11 +20,13 @@
 // server — uniform, or zipf-skewed with -zipf — and reports throughput,
 // latency, and the server's answer-cache counters.
 //
-// With -store-dir, -mem-budget, or -reload-interval, serve routes backends
-// through the managed index store (see internal/store): .pes files decode
-// lazily on first query, cold indexes are evicted to stay under the memory
-// budget, and rewritten files are hot-swapped in without a restart.
-// -pprof mounts net/http/pprof for profiling the eviction hot path.
+// serve catalogs every backend in the managed index store (see
+// internal/store). -in entries are decoded at startup, so a broken path
+// fails serve; -store-dir files decode lazily on first query. Each serves
+// the delta chain beside its file. -mem-budget evicts cold indexes to stay
+// under a memory budget, and -reload-interval hot-swaps rewritten files
+// and applies new delta segments without a restart. -pprof mounts
+// net/http/pprof for profiling the eviction hot path.
 //
 // encode -v2 writes the zero-copy PES2 format: info, query, and serve
 // memory-map such files and answer queries straight off the mapping
@@ -135,55 +137,48 @@ func parseInSpec(spec string) ([]store.Spec, error) {
 	return out, nil
 }
 
-// newQueryServer builds an eager server from the -in specification: every
-// entry is decoded at startup and held resident. Load and registration
-// failures name the offending entry, so a broken path in a multi-backend
-// spec is attributable.
-func newQueryServer(spec string, opts server.Options) (*server.Server, error) {
-	specs, err := parseInSpec(spec)
-	if err != nil {
-		return nil, err
+// newServer builds the server for serve over one store catalog: the -in
+// entries, then the -store-dir files. Each -in entry is decoded once here,
+// so a broken path fails serve and the error names the entry as
+// name=path; -store-dir files decode on first query.
+func newServer(spec, dir string, opts server.Options, sopts store.Options) (*server.Server, *store.Store, error) {
+	st := store.New(sopts)
+	if err := catalog(st, spec, dir); err != nil {
+		st.Close()
+		return nil, nil, err
 	}
-	s := server.New(opts)
-	for _, sp := range specs {
-		idx, err := pestrie.LoadFile(sp.Path)
-		if err != nil {
-			return nil, fmt.Errorf("serve: -in entry %s=%s: %w", sp.Name, sp.Path, err)
-		}
-		if err := s.AddIndex(sp.Name, idx); err != nil {
-			return nil, fmt.Errorf("serve: -in entry %s=%s: %w", sp.Name, sp.Path, err)
-		}
-	}
-	return s, nil
+	opts.Store = st
+	return server.New(opts), st, nil
 }
 
-// newStoreServer builds a store-backed server: -in entries and -store-dir
-// files are catalogued but not decoded; the store loads them lazily on
-// first query, evicts under memBudget, and hot-swaps rewritten files every
-// reload interval.
-func newStoreServer(spec, dir string, opts server.Options, sopts store.Options) (*server.Server, *store.Store, error) {
-	st := store.New(sopts)
+// catalog adds the -in entries and the -store-dir files to st, then
+// decodes each -in entry once.
+func catalog(st *store.Store, spec, dir string) error {
+	var specs []store.Spec
 	if spec != "" {
-		specs, err := parseInSpec(spec)
-		if err != nil {
-			st.Close()
-			return nil, nil, err
+		var err error
+		if specs, err = parseInSpec(spec); err != nil {
+			return err
 		}
-		for _, sp := range specs {
-			if err := st.Add(sp.Name, sp.Path); err != nil {
-				st.Close()
-				return nil, nil, fmt.Errorf("serve: -in entry %s=%s: %w", sp.Name, sp.Path, err)
-			}
+	}
+	for _, sp := range specs {
+		if err := st.Add(sp.Name, sp.Path); err != nil {
+			return fmt.Errorf("serve: -in entry %s=%s: %w", sp.Name, sp.Path, err)
 		}
 	}
 	if dir != "" {
 		if _, err := st.AddDir(dir); err != nil {
-			st.Close()
-			return nil, nil, err
+			return err
 		}
 	}
-	opts.Store = st
-	return server.New(opts), st, nil
+	for _, sp := range specs {
+		h, err := st.Acquire(context.Background(), sp.Name)
+		if err != nil {
+			return fmt.Errorf("serve: -in entry %s=%s: %w", sp.Name, sp.Path, err)
+		}
+		h.Release()
+	}
+	return nil
 }
 
 // serveLoop serves s on addr until serving fails or SIGINT/SIGTERM
@@ -221,39 +216,31 @@ func serve(args []string) error {
 	reload := fs.Duration("reload-interval", 0, "checksum poll period for hot-swapping rewritten files (0 = off)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	fs.Parse(args)
-	useStore := *storeDir != "" || *memBudget != "" || *reload > 0
-	if *in == "" && !useStore {
+	if *in == "" && *storeDir == "" {
 		return fmt.Errorf("serve needs -in or -store-dir")
 	}
-	opts := server.Options{
+	var budget int64
+	if *memBudget != "" {
+		var err error
+		if budget, err = store.ParseBytes(*memBudget); err != nil {
+			return err
+		}
+	}
+	s, st, err := newServer(*in, *storeDir, server.Options{
 		RequestTimeout: *timeout,
 		BatchWorkers:   *workers,
 		MaxBatch:       *maxBatch,
 		EnablePprof:    *pprofOn,
+	}, store.Options{MemBudget: budget, ReloadInterval: *reload})
+	if err != nil {
+		return err
 	}
-	var s *server.Server
-	var err error
-	if useStore {
-		var budget int64
-		if *memBudget != "" {
-			if budget, err = store.ParseBytes(*memBudget); err != nil {
-				return err
-			}
-		}
-		var st *store.Store
-		s, st, err = newStoreServer(*in, *storeDir, opts, store.Options{MemBudget: budget, ReloadInterval: *reload})
-		if err != nil {
-			return err
-		}
-		defer st.Close()
-		names := st.Names()
-		fmt.Printf("store: %d catalogued backends (budget %s, reload %s): %s\n",
-			len(names), budgetString(budget), *reload, strings.Join(names, " "))
-	} else {
-		if s, err = newQueryServer(*in, opts); err != nil {
-			return err
-		}
-		for _, b := range s.Backends() {
+	defer st.Close()
+	names := st.Names()
+	fmt.Printf("store: %d catalogued backends (budget %s, reload %s): %s\n",
+		len(names), budgetString(budget), *reload, strings.Join(names, " "))
+	for _, b := range s.Backends() {
+		if b.Loaded {
 			fmt.Printf("backend %s: %d pointers, %d objects, %d groups, %d rectangles\n",
 				b.Name, b.Pointers, b.Objects, b.Groups, b.Rectangles)
 		}
@@ -351,24 +338,19 @@ func benchServe(args []string) error {
 	// The server's answer-cache counters: how much of the stream (and of
 	// any earlier traffic) was answered from cached list answers.
 	var stats server.Stats
-	if _, err := server.FetchJSON(ctx, target, "/debug/stats", &stats); err != nil {
+	if err := server.FetchJSON(ctx, target, "/debug/stats", &stats); err != nil {
 		fmt.Fprintf(os.Stderr, "pestrie: server stats unavailable: %v\n", err)
 	} else {
 		c := stats.Cache
 		fmt.Printf("answer cache (server totals): %.1f%% hit ratio (%d hits, %d misses, %s of %s, %d evictions)\n",
 			100*c.HitRatio, c.Hits, c.Misses, perf.Bytes(c.Bytes), perf.Bytes(c.Budget), c.Evictions)
 	}
-	// Store-backed servers also expose refresh economics: how many times
-	// each backend was fully decoded vs advanced by applying delta
-	// segments, and what each path cost. Absence of the endpoint (an eager
-	// -in server) is not an error.
+	// The store's refresh economics: how many times each backend was fully
+	// decoded vs advanced by applying delta segments, and what each path
+	// cost.
 	var sstats store.Stats
-	found, err := server.FetchJSON(ctx, target, "/debug/store", &sstats)
-	if err != nil {
+	if err := server.FetchJSON(ctx, target, "/debug/store", &sstats); err != nil {
 		fmt.Fprintf(os.Stderr, "pestrie: store stats unavailable: %v\n", err)
-		return nil
-	}
-	if !found {
 		return nil
 	}
 	for _, e := range sstats.Backends {

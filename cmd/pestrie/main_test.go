@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,17 +14,23 @@ import (
 	"testing"
 
 	"pestrie"
+	"pestrie/internal/delta"
 	"pestrie/internal/server"
 	"pestrie/internal/store"
 )
 
 func writeTestMatrix(t *testing.T, dir string) string {
 	t.Helper()
+	return writeMatrix(t, filepath.Join(dir, "m.ptm"), [][2]int{{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}})
+}
+
+// writeMatrix writes a 6-pointer × 3-object matrix holding facts to path.
+func writeMatrix(t *testing.T, path string, facts [][2]int) string {
+	t.Helper()
 	pm := pestrie.NewMatrix(6, 3)
-	for _, f := range [][2]int{{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}} {
+	for _, f := range facts {
 		pm.Add(f[0], f[1])
 	}
-	path := filepath.Join(dir, "m.ptm")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -207,10 +217,11 @@ func TestServeAndBenchServe(t *testing.T) {
 		t.Fatalf("encode: %v", err)
 	}
 
-	s, err := newQueryServer(pes, server.Options{})
+	s, st, err := newServer(pes, "", server.Options{}, store.Options{})
 	if err != nil {
-		t.Fatalf("newQueryServer: %v", err)
+		t.Fatalf("newServer: %v", err)
 	}
+	defer st.Close()
 	bs := s.Backends()
 	if len(bs) != 1 || bs[0].Name != "default" {
 		t.Fatalf("single unnamed index should register as default, got %+v", bs)
@@ -237,14 +248,14 @@ func TestServeAndBenchServe(t *testing.T) {
 		t.Fatalf("query: status %d body %s", resp.StatusCode, body)
 	}
 
-	st := s.Stats()
-	if st.Backends["default"]["batch"].Count != 5 {
-		t.Fatalf("batch count = %d, want 5", st.Backends["default"]["batch"].Count)
+	stats := s.Stats()
+	if stats.Backends["default"]["batch"].Count != 5 {
+		t.Fatalf("batch count = %d, want 5", stats.Backends["default"]["batch"].Count)
 	}
 	// Six pointers and three objects under a skewed stream: list queries
 	// repeat, so some must be answered from the cache.
-	if st.Cache.Hits == 0 {
-		t.Fatalf("skewed stream never hit the answer cache: %+v", st.Cache)
+	if stats.Cache.Hits == 0 {
+		t.Fatalf("skewed stream never hit the answer cache: %+v", stats.Cache)
 	}
 }
 
@@ -258,12 +269,16 @@ func TestServeMultipleNamedBackends(t *testing.T) {
 			t.Fatalf("encode: %v", err)
 		}
 	}
-	s, err := newQueryServer("lib="+lib+","+app, server.Options{})
+	s, st, err := newServer("lib="+lib+","+app, "", server.Options{}, store.Options{})
 	if err != nil {
-		t.Fatalf("newQueryServer: %v", err)
+		t.Fatalf("newServer: %v", err)
 	}
+	defer st.Close()
 	names := []string{}
 	for _, b := range s.Backends() {
+		if !b.Loaded {
+			t.Fatalf("-in entry %s not decoded at startup", b.Name)
+		}
 		names = append(names, b.Name)
 	}
 	if len(names) != 2 || names[0] != "app" || names[1] != "lib" {
@@ -282,7 +297,7 @@ func TestServeSpecErrorNamesEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	missing := filepath.Join(dir, "missing.pes")
-	_, err := newQueryServer("lib="+good+",app="+missing, server.Options{})
+	_, _, err := newServer("lib="+good+",app="+missing, "", server.Options{}, store.Options{})
 	if err == nil {
 		t.Fatal("spec with missing file accepted")
 	}
@@ -290,7 +305,7 @@ func TestServeSpecErrorNamesEntry(t *testing.T) {
 		t.Fatalf("error %q does not name the offending entry app=%s", err, missing)
 	}
 	// Duplicate names are attributed the same way.
-	_, err = newQueryServer("x="+good+",x="+good, server.Options{})
+	_, _, err = newServer("x="+good+",x="+good, "", server.Options{}, store.Options{})
 	if err == nil || !strings.Contains(err.Error(), "x="+good) {
 		t.Fatalf("duplicate-name error %q does not name the entry", err)
 	}
@@ -311,7 +326,7 @@ func TestStoreServe(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, st, err := newStoreServer("", pesDir, server.Options{}, store.Options{MemBudget: 1 << 20})
+	s, st, err := newServer("", pesDir, server.Options{}, store.Options{MemBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +360,98 @@ func TestStoreServe(t *testing.T) {
 		t.Fatalf("/debug/store: status %d body %s", resp.StatusCode, body)
 	}
 
-	// -in specs also feed the store catalog, with the same entry-naming
-	// error contract as the eager path.
-	_, _, err = newStoreServer("x=nope,x=nope", "", server.Options{}, store.Options{})
+	// -in specs feed the same catalog, and a broken one fails the build
+	// under its name even with a budget set.
+	_, _, err = newServer("x=nope", pesDir, server.Options{}, store.Options{MemBudget: 1 << 20})
 	if err == nil || !strings.Contains(err.Error(), "x=nope") {
 		t.Fatalf("store spec error %q does not name the entry", err)
+	}
+}
+
+// TestServeInAnswersAtChainHead serves a base with a delta chain beside it
+// through -in with no store flags: every /batch reply must be the same
+// bytes the same spec gives with -mem-budget 1GiB, answering at the chain
+// head. A PES2 -in entry must be served memory-mapped.
+func TestServeInAnswersAtChainHead(t *testing.T) {
+	dir := t.TempDir()
+	ptm := writeTestMatrix(t, dir)
+	base := filepath.Join(dir, "app.pes")
+	zc := filepath.Join(dir, "zc.pes")
+	if err := encode([]string{"-in", ptm, "-out", base}); err != nil {
+		t.Fatal(err)
+	}
+	if err := encode([]string{"-in", ptm, "-out", zc, "-v2"}); err != nil {
+		t.Fatal(err)
+	}
+	for i, facts := range [][][2]int{
+		{{0, 0}, {0, 1}, {2, 1}, {3, 1}, {4, 2}},
+		{{0, 0}, {0, 1}, {2, 1}, {3, 1}, {4, 2}, {5, 1}},
+	} {
+		edit := writeMatrix(t, filepath.Join(dir, fmt.Sprintf("edit%d.ptm", i)), facts)
+		if err := deltaCmd([]string{"-base", base, "-new", edit}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vx, _, err := delta.Open(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vx.Close()
+	head := vx.Head()
+
+	spec := "app=" + base + ",zc=" + zc
+	batch := `{"backend":"app","queries":[{"op":"pointsto","p":0},{"op":"aliases","p":0},{"op":"aliases","p":5}]}`
+	serve := func(sopts store.Options) (string, []byte) {
+		t.Helper()
+		s, st, err := newServer(spec, "", server.Options{}, sopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(st.Close)
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(batch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/batch: status %d body %s", resp.StatusCode, body)
+		}
+		return ts.URL, body
+	}
+	url, plain := serve(store.Options{})
+	_, budgeted := serve(store.Options{MemBudget: 1 << 30})
+	if !bytes.Equal(plain, budgeted) {
+		t.Fatalf("-in without store flags answers\n%s\nbut with -mem-budget 1GiB\n%s", plain, budgeted)
+	}
+
+	var br server.BatchResponse
+	if err := json.Unmarshal(plain, &br); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("@%d", head.Generation()); !strings.HasSuffix(br.Generation, want) {
+		t.Fatalf("reply generation %q, want the chain head %s", br.Generation, want)
+	}
+	for i, want := range [][]int{head.ListPointsTo(0), head.ListAliases(0), head.ListAliases(5)} {
+		raw, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(br.Results[i].IDs) != string(raw) {
+			t.Fatalf("query %d answered %s, want the chain head's %s", i, br.Results[i].IDs, raw)
+		}
+	}
+
+	var snap store.Stats
+	if err := server.FetchJSON(context.Background(), url, "/debug/store", &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range snap.Backends {
+		if e.Name == "zc" && !(e.Loaded && e.Mapped) {
+			t.Fatalf("PES2 -in entry not served mapped: %+v", e)
+		}
 	}
 }
 

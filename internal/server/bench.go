@@ -234,26 +234,21 @@ func RunBench(ctx context.Context, opts BenchOptions) (*BenchReport, error) {
 
 // FetchJSON decodes the JSON a running server answers at GET baseURL+path
 // into v — /debug/stats or /debug/store, for reporting after a bench run.
-// It reports false with no error when the server answers 404, as one
-// without a managed store does at /debug/store.
-func FetchJSON(ctx context.Context, baseURL, path string, v any) (bool, error) {
+func FetchJSON(ctx context.Context, baseURL, path string, v any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+path, nil)
 	if err != nil {
-		return false, err
+		return err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return false, err
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return false, nil
-	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return false, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
+		return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
-	return true, json.NewDecoder(resp.Body).Decode(v)
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 func send(ctx context.Context, client *http.Client, url string, body []byte) (*BatchResponse, error) {

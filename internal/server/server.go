@@ -12,12 +12,12 @@
 //	GET  /debug/store  store lifecycle state (budget, evictions, generations)
 //	GET  /healthz      liveness probe
 //
-// Backends come from two places: indexes registered eagerly with AddIndex
-// (decoded once, resident forever), and — when Options.Store is set — a
-// managed internal/store catalog, where indexes decode lazily on first
-// query and live in a memory-budgeted LRU. A store-backed request pins its
-// generation for the request's whole duration, so eviction and hot-swap
-// never free or tear an index mid-query.
+// Every backend is an entry of one internal/store catalog: Options.Store,
+// or an unbudgeted store of the server's own. File entries decode on
+// first query and live in a memory-budgeted LRU; AddIndex registers an
+// index already in memory as a resident entry that is never evicted. A
+// request pins its generation for the request's whole duration, so
+// eviction and hot-swap never free or tear an index mid-query.
 //
 // Answers are produced by calling the underlying *core.Index directly and
 // marshaling its return value verbatim, so a server response is
@@ -66,9 +66,9 @@ type Options struct {
 	// selects 65536.
 	MaxBatch int
 
-	// Store, when non-nil, resolves backends not registered with
-	// AddIndex through a managed index store: lazy decode on first
-	// query, LRU eviction under a memory budget, checksum hot-swap.
+	// Store is the catalog the server serves: lazy decode on first
+	// query, LRU eviction under a memory budget, checksum hot-swap. Nil
+	// selects an unbudgeted store.New(store.Options{}).
 	Store *store.Store
 
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (off by
@@ -85,6 +85,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 1 << 16
+	}
+	if o.Store == nil {
+		o.Store = store.New(store.Options{})
 	}
 	return o
 }
@@ -105,11 +108,10 @@ const (
 // bodyLimit is the byte limit on a request body carrying n queries.
 func bodyLimit(n int) int64 { return envelopeBytes + int64(n)*queryBytes }
 
-// Sentinel errors of resolve; resolveStatus maps both to 404.
-var (
-	errUnknownBackend = errors.New("server: unknown backend")
-	errUnnamedBackend = errors.New("request must name one")
-)
+// errUnnamedBackend is resolve's error for an empty name that does not
+// pick out a single backend; resolveStatus maps it, like store.ErrUnknown,
+// to 404.
+var errUnnamedBackend = errors.New("request must name one")
 
 // Server answers pointer queries over one or more named indexes.
 type Server struct {
@@ -117,8 +119,8 @@ type Server struct {
 	start time.Time
 	cache *answerCache
 
-	mu       sync.RWMutex // guards backends registration; reads on hot path
-	backends map[string]*backend
+	mu       sync.RWMutex        // guards backends registration; reads on hot path
+	backends map[string]*backend // per-backend stats, created on first query
 
 	httpMu sync.Mutex
 	httpS  *http.Server
@@ -126,29 +128,17 @@ type Server struct {
 
 type backend struct {
 	name string
-	ix   *core.Index // static index; nil for store-resolved backends
-	tag  string      // version tag of the static index; "" for store shells
-	// stats has one entry per op plus "batch"; fixed at registration so
+	// stats has one entry per op plus "batch"; fixed at creation so
 	// the hot path is atomics only.
 	stats map[string]*opStats
 }
 
-func newBackend(name string, ix *core.Index) *backend {
-	b := &backend{name: name, ix: ix, stats: make(map[string]*opStats)}
+func newBackend(name string) *backend {
+	b := &backend{name: name, stats: make(map[string]*opStats)}
 	for _, op := range append(append([]string(nil), Ops...), "batch") {
 		b.stats[op] = &opStats{}
 	}
 	return b
-}
-
-// staticTag is the version tag of an eagerly-registered index: the
-// generation a /batch reply reports and the answer-cache key's version.
-// A static backend name is bound to one index for the life of the
-// process, so the tag needs no content hash; the structural dimensions
-// keep it the same for every process serving the same file, and the "s:"
-// prefix keeps it apart from store tags ("<hash>@<stamp>").
-func staticTag(ix *core.Index) string {
-	return fmt.Sprintf("s:%d.%d.%d.%d", ix.NumPointers, ix.NumObjects, ix.NumGroups, ix.Rectangles())
 }
 
 type opStats struct {
@@ -158,7 +148,8 @@ type opStats struct {
 	lat      perf.Histogram
 }
 
-// New returns an empty Server; register indexes with AddIndex.
+// New returns a Server over opts.Store; register in-memory indexes with
+// AddIndex.
 func New(opts Options) *Server {
 	return &Server{
 		opts:     opts.withDefaults(),
@@ -168,57 +159,15 @@ func New(opts Options) *Server {
 	}
 }
 
-// AddIndex registers a loaded index under name. Registration is expected
-// before serving; duplicate or empty names are errors.
+// AddIndex registers a loaded index under name as a resident store entry:
+// never evicted or refreshed, answering under the version tag "s:<dims>".
+// Empty names and names already in the catalog are errors, the latter
+// matching store.ErrDuplicate.
 func (s *Server) AddIndex(name string, ix *core.Index) error {
-	if name == "" {
-		return errors.New("server: empty backend name")
-	}
-	if ix == nil {
-		return errors.New("server: nil index")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, dup := s.backends[name]; dup && b.ix != nil {
-		return fmt.Errorf("server: duplicate backend %q", name)
-	} else if dup {
-		// A stats-only shell created for a store backend of the same
-		// name: adopt it so its counters survive, static index wins.
-		b.ix = ix
-		b.tag = staticTag(ix)
-		return nil
-	}
-	b := newBackend(name, ix)
-	b.tag = staticTag(ix)
-	s.backends[name] = b
-	return nil
+	return s.opts.Store.AddIndex(name, ix)
 }
 
-// names lists every resolvable backend name: static indexes plus the
-// store catalog.
-func (s *Server) names() []string {
-	set := map[string]bool{}
-	s.mu.RLock()
-	for name, b := range s.backends {
-		if b.ix != nil {
-			set[name] = true
-		}
-	}
-	s.mu.RUnlock()
-	if s.opts.Store != nil {
-		for _, name := range s.opts.Store.Names() {
-			set[name] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	return out
-}
-
-// statsFor returns the stats holder for name, creating a shell for
-// store-resolved backends on first touch.
+// statsFor returns the stats holder for name, creating it on first touch.
 func (s *Server) statsFor(name string) *backend {
 	s.mu.RLock()
 	b, ok := s.backends[name]
@@ -231,47 +180,30 @@ func (s *Server) statsFor(name string) *backend {
 	if b, ok := s.backends[name]; ok {
 		return b
 	}
-	b = newBackend(name, nil)
+	b = newBackend(name)
 	s.backends[name] = b
 	return b
 }
 
-// resolve maps a request's backend name to an index ready to query, plus
-// the version tag identifying the content the answers correspond to — the
-// generation a /batch reply reports and the answer cache keys on. The
-// empty name is allowed when exactly one backend is resolvable. For
-// store-resolved backends the returned release func unpins the decoded
-// generation and must be called when the request is done; it is nil for
-// static backends.
-func (s *Server) resolve(ctx context.Context, name string) (*backend, delta.Index, string, func(), error) {
+// resolve pins the generation a request's backend name currently serves.
+// The handle's Index answers the request and its VersionTag names the
+// content the answers correspond to — the generation a /batch reply
+// reports and the answer cache keys on. The empty name is allowed when
+// exactly one backend is catalogued. The caller must Release the handle
+// when the request is done.
+func (s *Server) resolve(ctx context.Context, name string) (*backend, *store.Handle, error) {
 	if name == "" {
-		names := s.names()
+		names := s.opts.Store.Names()
 		if len(names) != 1 {
-			return nil, nil, "", nil, fmt.Errorf("server: %d backends loaded, %w", len(names), errUnnamedBackend)
+			return nil, nil, fmt.Errorf("server: %d backends loaded, %w", len(names), errUnnamedBackend)
 		}
 		name = names[0]
 	}
-	// ix and tag are read under the lock: AddIndex writes both when a
-	// static index adopts the stats shell of a store backend.
-	s.mu.RLock()
-	b, ok := s.backends[name]
-	var ix *core.Index
-	var tag string
-	if ok {
-		ix, tag = b.ix, b.tag
-	}
-	s.mu.RUnlock()
-	if ix != nil {
-		return b, ix, tag, nil, nil
-	}
-	if s.opts.Store == nil {
-		return nil, nil, "", nil, fmt.Errorf("%w %q", errUnknownBackend, name)
-	}
 	h, err := s.opts.Store.Acquire(ctx, name)
 	if err != nil {
-		return nil, nil, "", nil, err
+		return nil, nil, err
 	}
-	return s.statsFor(name), h.Index(), h.VersionTag(), h.Release, nil
+	return s.statsFor(name), h, nil
 }
 
 // Query is one Table-1 query. ID fields are pointers so "absent" and "0"
@@ -293,10 +225,10 @@ type Result struct {
 }
 
 // exec answers one query against an index, recording stats on b. The
-// index is passed in (rather than read from b) because store-resolved
-// backends pin a possibly different generation per request — a plain
-// decoded base, or a delta-chain snapshot whose answers are frozen at
-// that generation's stamp — and tag is that generation's version tag.
+// index is passed in (rather than read from b) because each request pins
+// a possibly different generation — a plain decoded base, or a
+// delta-chain snapshot whose answers are frozen at that generation's
+// stamp — and tag is that generation's version tag.
 // List answers are served from the answer cache under (backend, tag,
 // query); isalias is cheaper to answer than to look up, so it is not
 // cached.
@@ -488,15 +420,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, bodyLimit(1), &req) {
 		return
 	}
-	b, ix, tag, release, err := s.resolve(r.Context(), req.Backend)
+	b, h, err := s.resolve(r.Context(), req.Backend)
 	if err != nil {
 		writeError(w, resolveStatus(err), err)
 		return
 	}
-	if release != nil {
-		defer release()
-	}
-	res := s.exec(b, ix, tag, req.Query)
+	defer h.Release()
+	res := s.exec(b, h.Index(), h.VersionTag(), req.Query)
 	if res.Err != "" {
 		writeJSON(w, http.StatusBadRequest, res)
 		return
@@ -508,7 +438,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // aren't in the catalog are the client's fault (404), a catalogued file
 // that fails to decode is the server's (502).
 func resolveStatus(err error) int {
-	if errors.Is(err, store.ErrUnknown) || errors.Is(err, errUnknownBackend) || errors.Is(err, errUnnamedBackend) {
+	if errors.Is(err, store.ErrUnknown) || errors.Is(err, errUnnamedBackend) {
 		return http.StatusNotFound
 	}
 	return http.StatusBadGateway
@@ -521,9 +451,10 @@ type batchRequest struct {
 
 // BatchResponse is the reply to POST /batch. Generation is the version
 // tag of the generation the batch pinned, so a client can tell which
-// content every answer in the reply corresponds to (for a store backend,
-// "<base hash>@<delta stamp>"); Unanswered counts queries a timed-out
-// batch returned with per-result errors instead of answers.
+// content every answer in the reply corresponds to ("<base hash>@<delta
+// stamp>" for a file entry, "s:<dims>" for one registered with AddIndex);
+// Unanswered counts queries a timed-out batch returned with per-result
+// errors instead of answers.
 type BatchResponse struct {
 	Results    []Result `json:"results"`
 	Generation string   `json:"generation,omitempty"`
@@ -540,16 +471,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("server: batch of %d exceeds limit %d", len(req.Queries), s.opts.MaxBatch))
 		return
 	}
-	b, ix, tag, release, err := s.resolve(r.Context(), req.Backend)
+	b, h, err := s.resolve(r.Context(), req.Backend)
 	if err != nil {
 		writeError(w, resolveStatus(err), err)
 		return
 	}
-	if release != nil {
-		defer release()
-	}
+	defer h.Release()
+	tag := h.VersionTag()
 	start := time.Now()
-	results, unanswered := s.runBatch(r.Context(), b, ix, tag, req.Queries)
+	results, unanswered := s.runBatch(r.Context(), b, h.Index(), tag, req.Queries)
 	st := b.stats["batch"]
 	st.count.Add(1)
 	st.lat.Observe(time.Since(start))
@@ -563,12 +493,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results, Generation: tag, Unanswered: unanswered})
 }
 
-// BackendInfo describes one catalogued index. Store-resolved backends
-// report Loaded=false (with zero or last-known dimensions) until their
-// first query decodes them; static indexes are always loaded.
+// BackendInfo describes one catalogued index. File entries report
+// Loaded=false (with zero or last-known dimensions) until their first
+// query decodes them; resident entries are always loaded.
 type BackendInfo struct {
 	Name       string `json:"name"`
-	Source     string `json:"source"` // "static" or "store"
 	Loaded     bool   `json:"loaded"`
 	Pointers   int    `json:"pointers"`
 	Objects    int    `json:"objects"`
@@ -580,46 +509,22 @@ func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]BackendInfo{"backends": s.Backends()})
 }
 
-// Backends lists the catalogued indexes sorted by name: static indexes
-// first-class, store entries described from the store's snapshot without
-// forcing any to load (that would defeat the budget).
+// Backends lists the catalogued indexes sorted by name, described from the
+// store's snapshot without forcing any to load (that would defeat the
+// budget).
 func (s *Server) Backends() []BackendInfo {
-	s.mu.RLock()
-	out := make([]BackendInfo, 0, len(s.backends))
-	seen := make(map[string]bool, len(s.backends))
-	for _, b := range s.backends {
-		if b.ix == nil {
-			continue // stats shell for a store backend; listed below
-		}
-		seen[b.name] = true
-		out = append(out, BackendInfo{
-			Name:       b.name,
-			Source:     "static",
-			Loaded:     true,
-			Pointers:   b.ix.NumPointers,
-			Objects:    b.ix.NumObjects,
-			Groups:     b.ix.NumGroups,
-			Rectangles: b.ix.Rectangles(),
-		})
-	}
-	s.mu.RUnlock()
-	if s.opts.Store != nil {
-		for _, e := range s.opts.Store.Snapshot().Backends {
-			if seen[e.Name] {
-				continue // a static index shadows the store entry
-			}
-			out = append(out, BackendInfo{
-				Name:       e.Name,
-				Source:     "store",
-				Loaded:     e.Loaded,
-				Pointers:   e.Pointers,
-				Objects:    e.Objects,
-				Groups:     e.Groups,
-				Rectangles: e.Rectangles,
-			})
+	entries := s.opts.Store.Snapshot().Backends
+	out := make([]BackendInfo, len(entries))
+	for i, e := range entries {
+		out[i] = BackendInfo{
+			Name:       e.Name,
+			Loaded:     e.Loaded,
+			Pointers:   e.Pointers,
+			Objects:    e.Objects,
+			Groups:     e.Groups,
+			Rectangles: e.Rectangles,
 		}
 	}
-	sortBackends(out)
 	return out
 }
 
@@ -627,19 +532,7 @@ func (s *Server) Backends() []BackendInfo {
 // loaded/evicted status, generations, byte footprints, hit/miss/load/evict
 // counters, and load-latency histograms.
 func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Store == nil {
-		writeError(w, http.StatusNotFound, errors.New("server: no store configured"))
-		return
-	}
 	writeJSON(w, http.StatusOK, s.opts.Store.Snapshot())
-}
-
-func sortBackends(bs []BackendInfo) {
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && bs[j].Name < bs[j-1].Name; j-- {
-			bs[j], bs[j-1] = bs[j-1], bs[j]
-		}
-	}
 }
 
 // OpStats is the monitoring snapshot for one (backend, op) pair.

@@ -350,13 +350,12 @@ func TestBatchTimeout(t *testing.T) {
 // tail, and the count must match the reported unanswered total.
 func TestBatchCancelMarksUnanswered(t *testing.T) {
 	s, _, _ := newTestServer(t, Options{BatchWorkers: 2})
-	b, ix, tag, release, err := s.resolve(context.Background(), "")
+	b, h, err := s.resolve(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if release != nil {
-		defer release()
-	}
+	defer h.Release()
+	ix, tag := h.Index(), h.VersionTag()
 	queries := make([]Query, 4000)
 	for i := range queries {
 		queries[i] = Query{Op: "aliases", P: intp(i % 100)}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -122,14 +123,14 @@ func TestStoreBackedServer(t *testing.T) {
 		t.Fatalf("no aliases stats for store backend: %+v", stats.Backends["alpha"])
 	}
 
-	// /backends lists every catalogued backend with its source.
+	// /backends lists every catalogued backend, sorted by name.
 	bs := s.Backends()
 	if len(bs) != 3 {
 		t.Fatalf("backends = %+v", bs)
 	}
-	for _, b := range bs {
-		if b.Source != "store" {
-			t.Fatalf("backend %s source = %q, want store", b.Name, b.Source)
+	for i, b := range bs {
+		if b.Name != names[i] {
+			t.Fatalf("backend %d is %q, want %q", i, b.Name, names[i])
 		}
 	}
 }
@@ -269,7 +270,8 @@ func TestStoreDeltaApplyWithoutRestart(t *testing.T) {
 
 // TestStoreResolveErrors pins how resolve failures map to statuses: names
 // that no backend answers to are the client's fault (404), a catalogued
-// file that fails to decode is the server's (502).
+// file that fails to decode is the server's (502). A server given no store
+// reports unknown names with the store's error, like any other.
 func TestStoreResolveErrors(t *testing.T) {
 	dir := t.TempDir()
 	st := store.New(store.Options{})
@@ -285,7 +287,7 @@ func TestStoreResolveErrors(t *testing.T) {
 	if err := static.AddIndex("solo", ix); err != nil {
 		t.Fatal(err)
 	}
-	// bad (store) plus solo (static): an empty name is ambiguous.
+	// bad (file) plus solo (resident): an empty name is ambiguous.
 	mixed := New(Options{Store: st})
 	if err := mixed.AddIndex("solo", ix); err != nil {
 		t.Fatal(err)
@@ -296,11 +298,12 @@ func TestStoreResolveErrors(t *testing.T) {
 		s       *Server
 		backend string
 		status  int
+		errText string // when set, the reply's error must contain it
 	}{
-		{"static unknown", static, "ghost", http.StatusNotFound},
-		{"ambiguous empty name", mixed, "", http.StatusNotFound},
-		{"store unknown", mixed, "ghost", http.StatusNotFound},
-		{"store corrupt", mixed, "bad", http.StatusBadGateway},
+		{"AddIndex-only unknown", static, "ghost", http.StatusNotFound, "store: unknown backend"},
+		{"ambiguous empty name", mixed, "", http.StatusNotFound, ""},
+		{"store unknown", mixed, "ghost", http.StatusNotFound, "store: unknown backend"},
+		{"store corrupt", mixed, "bad", http.StatusBadGateway, ""},
 	} {
 		ts := httptest.NewServer(tc.s.Handler())
 		resp, body := postJSON(t, ts.URL+"/query", queryRequest{Backend: tc.backend, Query: Query{Op: "aliases", P: intp(0)}})
@@ -308,16 +311,19 @@ func TestStoreResolveErrors(t *testing.T) {
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, body)
 		}
+		if !bytes.Contains(body, []byte(tc.errText)) {
+			t.Errorf("%s: reply %s does not contain %q", tc.name, body, tc.errText)
+		}
 	}
 }
 
-// TestStaticAndStoreBackendsCoexist registers a static index alongside a
-// store catalog and checks both resolve, with static shadowing the store
-// on name collisions.
+// TestStaticAndStoreBackendsCoexist registers in-memory indexes alongside
+// a store catalog: AddIndex of a name the catalog already holds fails with
+// store.ErrDuplicate and leaves the file entry serving, a new name
+// registers, and both kinds resolve and list sorted.
 func TestStaticAndStoreBackendsCoexist(t *testing.T) {
 	dir := t.TempDir()
 	storeRef := writeStorePes(t, dir, "shared", testPM(70, 60, 15, 300))
-	_ = storeRef
 
 	st := store.New(store.Options{})
 	defer st.Close()
@@ -325,9 +331,8 @@ func TestStaticAndStoreBackendsCoexist(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(Options{Store: st})
-	staticIx := testIndex(t, testPM(71, 50, 12, 250))
-	if err := s.AddIndex("shared", staticIx); err != nil {
-		t.Fatal(err)
+	if err := s.AddIndex("shared", testIndex(t, testPM(71, 50, 12, 250))); !errors.Is(err, store.ErrDuplicate) {
+		t.Fatalf("AddIndex over a catalogued name: %v, want store.ErrDuplicate", err)
 	}
 	staticOnly := testIndex(t, testPM(72, 40, 10, 200))
 	if err := s.AddIndex("solo", staticOnly); err != nil {
@@ -336,25 +341,22 @@ func TestStaticAndStoreBackendsCoexist(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, body := postJSON(t, ts.URL+"/query", queryRequest{Backend: "shared", Query: Query{Op: "aliases", P: intp(2)}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("shared: %d %s", resp.StatusCode, body)
-	}
-	var res Result
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatal(err)
-	}
-	if string(res.IDs) != directIDs(t, staticIx.ListAliases(2)) {
-		t.Fatal("static index did not shadow the store entry")
+	for name, ref := range map[string]*core.Index{"shared": storeRef, "solo": staticOnly} {
+		resp, body := postJSON(t, ts.URL+"/query", queryRequest{Backend: name, Query: Query{Op: "aliases", P: intp(2)}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", name, resp.StatusCode, body)
+		}
+		var res Result
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatal(err)
+		}
+		if string(res.IDs) != directIDs(t, ref.ListAliases(2)) {
+			t.Fatalf("%s answered %s, want %s", name, res.IDs, directIDs(t, ref.ListAliases(2)))
+		}
 	}
 	bs := s.Backends()
-	if len(bs) != 2 {
-		t.Fatalf("backends = %+v", bs)
-	}
-	for _, b := range bs {
-		if b.Source != "static" && b.Name != "shared" && b.Name != "solo" {
-			t.Fatalf("unexpected backend %+v", b)
-		}
+	if len(bs) != 2 || bs[0].Name != "shared" || bs[1].Name != "solo" {
+		t.Fatalf("backends = %+v, want shared then solo", bs)
 	}
 }
 
@@ -514,10 +516,10 @@ func TestResolveConcurrentRegistration(t *testing.T) {
 }
 
 // TestResolveConcurrentAdoption resolves a store backend while AddIndex
-// registers a static index under the same name, which adopts the store
-// backend's stats shell: resolve must read the shell's index and tag under
-// the lock AddIndex writes them under (the -race run checks it), and every
-// answer must come from one of the two indexes.
+// tries to register an in-memory index under the same name and registers
+// new names: the duplicate must fail with store.ErrDuplicate, every answer
+// must come from the store's index, and the new names must resolve (the
+// -race run checks the interleavings).
 func TestResolveConcurrentAdoption(t *testing.T) {
 	dir := t.TempDir()
 	stored := writeStorePes(t, dir, "app", testPM(80, 60, 15, 250))
@@ -528,28 +530,18 @@ func TestResolveConcurrentAdoption(t *testing.T) {
 	}
 	static := testIndex(t, testPM(81, 60, 15, 250))
 	q := Query{Op: "pointsto", P: intp(5)}
-	want := map[string]bool{
-		directIDs(t, stored.ListPointsTo(5)): true,
-		directIDs(t, static.ListPointsTo(5)): true,
-	}
-	// An unordered read only shows when AddIndex lands in the short span
-	// between two of a reader's lock sections, so each round adopts once
-	// on a fresh server: one more chance for -race to see it.
-	for round := 0; round < 20; round++ {
-		s := New(Options{Store: st})
-		ask := func() string {
-			b, ix, tag, release, err := s.resolve(context.Background(), "app")
-			if err != nil {
-				t.Error(err)
-				return ""
-			}
-			if release != nil {
-				defer release()
-			}
-			return string(s.exec(b, ix, tag, q).IDs)
+	want := directIDs(t, stored.ListPointsTo(5))
+	s := New(Options{Store: st})
+	ask := func(name string) string {
+		b, h, err := s.resolve(context.Background(), name)
+		if err != nil {
+			t.Error(err)
+			return ""
 		}
-		ask() // creates the stats shell AddIndex adopts
-
+		defer h.Release()
+		return string(s.exec(b, h.Index(), h.VersionTag(), q).IDs)
+	}
+	for round := 0; round < 20; round++ {
 		var running, wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
 			running.Add(1)
@@ -561,22 +553,26 @@ func TestResolveConcurrentAdoption(t *testing.T) {
 					if i == 10 {
 						running.Done()
 					}
-					if got := ask(); !want[got] {
+					if ask("app") != want {
 						stray++
 					}
 				}
 				if stray > 0 {
-					t.Errorf("%d pointsto(5) answers came from neither index", stray)
+					t.Errorf("%d pointsto(5) answers did not come from the store's index", stray)
 				}
 			}()
 		}
 		running.Wait() // register while the readers are in full swing
-		if err := s.AddIndex("app", static); err != nil {
+		if err := s.AddIndex("app", static); !errors.Is(err, store.ErrDuplicate) {
+			t.Errorf("AddIndex over a store name: %v, want store.ErrDuplicate", err)
+		}
+		name := fmt.Sprintf("extra%d", round)
+		if err := s.AddIndex(name, static); err != nil {
 			t.Error(err)
 		}
 		wg.Wait()
-		if got, want := ask(), directIDs(t, static.ListPointsTo(5)); got != want {
-			t.Fatalf("after adoption pointsto(5) = %s, want the static index's %s", got, want)
+		if got, want := ask(name), directIDs(t, static.ListPointsTo(5)); got != want {
+			t.Fatalf("%s: pointsto(5) = %s, want the registered index's %s", name, got, want)
 		}
 	}
 }

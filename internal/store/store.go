@@ -8,7 +8,8 @@
 // again.
 //
 // A Store is a catalog of backend name → .pes path (explicit Add calls or
-// AddDir directory scans). Acquire pins a decoded generation for the
+// AddDir directory scans), plus resident entries registered with AddIndex
+// from an index already in memory. Acquire pins a decoded generation for the
 // duration of a query; concurrent first loads of the same entry are
 // deduplicated (singleflight, sharing the outcome — success or error —
 // with every waiter), and pinned generations are never freed by
@@ -94,6 +95,7 @@ type generation struct {
 	vx    *delta.Versioned
 	sum   [sha256.Size]byte // SHA-256 of the base file image
 	bytes int64
+	tag   string // Handle.VersionTag, computed once per generation
 
 	// guarded by Store.mu:
 	refs    int  // in-flight handles pinning this generation
@@ -109,6 +111,26 @@ func (g *generation) free() { _ = g.vx.Close() }
 // stamp returns the generation stamp of the delta-chain head (the base
 // generation when no deltas are applied).
 func (g *generation) stamp() uint64 { return g.vx.Head().Generation() }
+
+// fileTag is the version tag of a generation loaded from a file:
+// "<hash>@<stamp>", a truncated content hash of the base file plus the
+// delta-chain head stamp. Two generations share a tag iff they serve the
+// same base bytes at the same stamp (published segments are never
+// rewritten), so a hot swap changes the tag, a delta apply changes the
+// stamp, and an evict-then-reload of an unchanged file keeps it. 64 bits
+// of SHA-256 is plenty for a namespace that only ever holds a handful of
+// live tags.
+func fileTag(sum [sha256.Size]byte, stamp uint64) string {
+	return hex.EncodeToString(sum[:8]) + "@" + strconv.FormatUint(stamp, 10)
+}
+
+// residentTag is the version tag of a resident entry. Its name is bound to
+// one index for the life of the store, so the tag needs no content hash;
+// the structural dimensions keep it the same for every process serving the
+// same index, and the "s:" prefix keeps it apart from file tags.
+func residentTag(ix *core.Index) string {
+	return fmt.Sprintf("s:%d.%d.%d.%d", ix.NumPointers, ix.NumObjects, ix.NumGroups, ix.Rectangles())
+}
 
 // dims is the last-known shape of an entry, kept across eviction so
 // monitoring can describe unloaded entries.
@@ -146,7 +168,7 @@ func genDims(g *generation, note string) dims {
 
 type entry struct {
 	name    string
-	path    string
+	path    string // "" for a resident entry (AddIndex), which has no file
 	fromDir bool
 
 	// guarded by Store.mu:
@@ -264,6 +286,36 @@ func (s *Store) add(name, path string, fromDir bool) error {
 	return nil
 }
 
+// AddIndex registers an index already in memory as a resident entry. It is
+// loaded from the start and carries one pin that is never released, so
+// eviction skips it; it has no file, so Refresh skips it. Its footprint is
+// charged to the budget, and its version tag is "s:<dims>" (see
+// residentTag). The store does not close ix.
+func (s *Store) AddIndex(name string, ix *core.Index) error {
+	if name == "" {
+		return errors.New("store: empty backend name")
+	}
+	if ix == nil {
+		return fmt.Errorf("store: nil index for backend %q", name)
+	}
+	vx, err := delta.NewVersioned(ix)
+	if err != nil {
+		return err
+	}
+	g := &generation{ix: ix, vx: vx, bytes: ix.MemoryFootprint(), tag: residentTag(ix), refs: 1}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.entries[name]; dup {
+		return fmt.Errorf("%w %q", ErrDuplicate, name)
+	}
+	e := &entry{name: name, gen: g, genSeq: 1, info: genDims(g, "")}
+	e.elem = s.lru.PushFront(e)
+	s.entries[name] = e
+	s.total += g.bytes
+	s.evictLocked()
+	return nil
+}
+
 // AddDir scans dir for *.pes files and catalogs each under its file stem.
 // The directory is remembered: Refresh rescans it and picks up files added
 // later. Returns the number of entries added by this scan.
@@ -341,21 +393,15 @@ func (h *Handle) Index() delta.Index { return h.g.ix }
 func (h *Handle) Stamp() uint64 { return h.g.stamp() }
 
 // Checksum returns the hex SHA-256 of the file image this generation was
-// decoded from.
+// decoded from (all zeros for a resident entry, which has no file).
 func (h *Handle) Checksum() string { return hex.EncodeToString(h.g.sum[:]) }
 
 // VersionTag identifies the content this generation answers for:
-// "<hash>@<stamp>", a truncated content hash of the base file plus the
-// delta-chain head stamp. Two generations share a tag iff they serve the
-// same base bytes at the same stamp (published segments are never
-// rewritten), so a hot swap changes the tag, a delta apply changes the
-// stamp, and an evict-then-reload of an unchanged file keeps it. That is
-// the granularity a server needs to report which content a reply
-// corresponds to, and to key cached answers on. 64 bits of SHA-256 is
-// plenty for a namespace that only ever holds a handful of live tags.
-func (h *Handle) VersionTag() string {
-	return hex.EncodeToString(h.g.sum[:8]) + "@" + strconv.FormatUint(h.g.stamp(), 10)
-}
+// "<hash>@<stamp>" for an entry loaded from a file (see fileTag), "s:<dims>"
+// for a resident one (see residentTag). That is the granularity a server
+// needs to report which content a reply corresponds to, and to key cached
+// answers on.
+func (h *Handle) VersionTag() string { return h.g.tag }
 
 // Generation returns the entry's generation sequence number at pin time
 // (1 for the first load, bumped by every hot-swap or reload).
@@ -525,6 +571,7 @@ func loadGeneration(path string) (*generation, dims, error) {
 		g.ix = vx.Head()
 	}
 	g.bytes = g.ix.MemoryFootprint()
+	g.tag = fileTag(sum, g.stamp())
 	return g, genDims(g, note), nil
 }
 
@@ -568,8 +615,8 @@ func (s *Store) evictLocked() {
 // Refresh rescans catalogued directories for new .pes files and re-hashes
 // the file behind every loaded entry, hot-swapping any whose content
 // changed. Unloaded entries are left alone — their next Acquire reads the
-// current file anyway. The first error is returned after the full sweep is
-// attempted.
+// current file anyway — and so are resident ones. The first error is
+// returned after the full sweep is attempted.
 func (s *Store) Refresh() error {
 	var firstErr error
 	s.mu.Lock()
@@ -584,7 +631,7 @@ func (s *Store) Refresh() error {
 	s.mu.Lock()
 	var candidates []*entry
 	for _, e := range s.entries {
-		if e.gen != nil && !e.swapping && e.loading == nil {
+		if e.gen != nil && e.path != "" && !e.swapping && e.loading == nil {
 			e.swapping = true
 			candidates = append(candidates, e)
 		}
@@ -710,6 +757,7 @@ func (s *Store) extendEntry(e *entry, old *generation) error {
 		return fmt.Errorf("store: applying deltas to %q: %w", e.name, err)
 	}
 	gen := &generation{ix: vx.Head(), vx: vx, sum: old.sum, bytes: vx.Head().MemoryFootprint()}
+	gen.tag = fileTag(gen.sum, gen.stamp())
 	info := genDims(gen, chain.Broken)
 
 	s.mu.Lock()
@@ -745,7 +793,7 @@ type EntryInfo struct {
 	Generation int64  `json:"generation"`
 	Bytes      int64  `json:"bytes"`
 	Checksum   string `json:"checksum,omitempty"`
-	Pinned     int    `json:"pinned"`
+	Pinned     int    `json:"pinned"` // in-flight handles, plus the permanent pin of a resident entry
 
 	// Last-known dimensions; survive eviction so unloaded entries stay
 	// describable. All zero before the first load.
@@ -831,7 +879,9 @@ func (s *Store) Snapshot() Stats {
 			ei.Loaded = true
 			ei.Mapped = e.gen.ix.Mapped()
 			ei.Bytes = e.gen.bytes
-			ei.Checksum = hex.EncodeToString(e.gen.sum[:])
+			if e.path != "" {
+				ei.Checksum = hex.EncodeToString(e.gen.sum[:])
+			}
 			ei.Pinned = e.gen.refs
 			out.LoadedEntries++
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -468,5 +469,74 @@ func TestVersionTag(t *testing.T) {
 	// The twin was untouched; its tag must not move.
 	if got := tagOf("twin"); got != tagA {
 		t.Fatalf("untouched twin's tag moved: %q vs %q", got, tagA)
+	}
+}
+
+// TestStoreAddIndexResidentPinned pins the contract of resident entries: a
+// resident index survives a 1-byte budget that evicts every file entry and
+// a Refresh, is charged to loaded_bytes, answers under its "s:<dims>" tag,
+// and owns its name against later Add and AddIndex calls.
+func TestStoreAddIndexResidentPinned(t *testing.T) {
+	dir := t.TempDir()
+	raw, _ := pesBytes(t, 41, 60, 15, 300)
+	writePes(t, filepath.Join(dir, "file.pes"), raw)
+	_, ix := pesBytes(t, 42, 70, 18, 350)
+
+	s := New(Options{MemBudget: 1})
+	defer s.Close()
+	if err := s.AddIndex("res", ix); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add("file", filepath.Join(dir, "file.pes")); err != nil {
+		t.Fatal(err)
+	}
+	wantTag := fmt.Sprintf("s:%d.%d.%d.%d", ix.NumPointers, ix.NumObjects, ix.NumGroups, ix.Rectangles())
+	check := func(when string) {
+		t.Helper()
+		h, err := s.Acquire(context.Background(), "res")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Release()
+		if h.VersionTag() != wantTag {
+			t.Fatalf("%s: tag %q, want %q", when, h.VersionTag(), wantTag)
+		}
+		sameAnswers(t, h.Index(), ix)
+		snap := s.Snapshot()
+		res := snap.Backends[1]
+		if res.Name != "res" || !res.Loaded || res.Evictions != 0 || res.Loads != 0 || res.Generation != 1 {
+			t.Fatalf("%s: resident entry %+v", when, res)
+		}
+		if snap.LoadedBytes < ix.MemoryFootprint() {
+			t.Fatalf("%s: loaded_bytes %d does not charge the resident's %d", when, snap.LoadedBytes, ix.MemoryFootprint())
+		}
+	}
+	check("after AddIndex")
+
+	h, err := s.Acquire(context.Background(), "file")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	if snap := s.Snapshot(); snap.Backends[0].Loaded || snap.Backends[0].Evictions != 1 {
+		t.Fatalf("the 1-byte budget kept the file entry: %+v", snap.Backends[0])
+	}
+	check("after the budget evicted the file entry")
+
+	if err := s.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Refresh")
+
+	for _, err := range []error{s.AddIndex("res", ix), s.Add("res", filepath.Join(dir, "file.pes"))} {
+		if !errors.Is(err, ErrDuplicate) {
+			t.Fatalf("re-registering a resident name: %v, want ErrDuplicate", err)
+		}
+	}
+	if err := s.AddIndex("", ix); err == nil {
+		t.Fatal("AddIndex accepted an empty name")
+	}
+	if err := s.AddIndex("nil", nil); err == nil {
+		t.Fatal("AddIndex accepted a nil index")
 	}
 }

@@ -291,31 +291,34 @@ var (
 
 // --- query service (cmd/pestrie serve) ---------------------------------
 
-// QueryServer serves one or more loaded indexes as a concurrent HTTP/JSON
+// QueryServer serves the indexes of one Store as a concurrent HTTP/JSON
 // query service: the four Table-1 queries plus a batch endpoint answered
 // by a worker pool, with per-backend counters, latency histograms, and
-// answer-cache counters at /debug/stats. Served answers, cached ones
-// included, are byte-identical to direct Index calls.
+// answer-cache counters at /debug/stats and the store's lifecycle at
+// /debug/store. Served answers, cached ones included, are byte-identical
+// to direct Index calls.
 type QueryServer = server.Server
 
 // QueryServerOptions tune request timeouts, the batch worker pool, and
-// the batch size limit; the zero value selects sensible defaults.
+// the batch size limit, and name the Store to serve; the zero value
+// selects sensible defaults and an unbudgeted store of the server's own.
 type QueryServerOptions = server.Options
 
-// NewQueryServer returns an empty query server; register decoded indexes
-// with AddIndex, then Serve or ListenAndServe. Shutdown stops it
-// gracefully.
+// NewQueryServer returns a query server over opts.Store; AddIndex
+// registers decoded indexes as resident store entries. Then Serve or
+// ListenAndServe; Shutdown stops it gracefully.
 func NewQueryServer(opts QueryServerOptions) *QueryServer { return server.New(opts) }
 
-// --- managed index store (cmd/pestrie serve -store-dir) -----------------
+// --- managed index store (cmd/pestrie serve) ----------------------------
 
 // Store is the managed, memory-budgeted index store: a catalog of backend
 // name → .pes path where indexes decode lazily on first Acquire, cold
 // entries are evicted LRU-wise to respect a byte budget (in-flight queries
 // pin their generation, so eviction never frees an index mid-query), and
-// Refresh hot-swaps entries whose file checksum changed. Set
-// QueryServerOptions.Store to serve a catalog instead of eagerly loaded
-// indexes.
+// Refresh hot-swaps entries whose file checksum changed. AddIndex adds an
+// index already in memory as a resident entry, never evicted or
+// refreshed. A QueryServer serves exactly one Store: set
+// QueryServerOptions.Store to choose it.
 type Store = store.Store
 
 // StoreOptions configure a Store: the decoded-index memory budget and the
