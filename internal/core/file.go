@@ -9,7 +9,6 @@ import (
 
 	"pestrie/internal/par"
 	"pestrie/internal/safeio"
-	"pestrie/internal/segtree"
 )
 
 // Persistent file format ("PES1"), following Figure 5 of the paper:
@@ -38,7 +37,7 @@ const (
 	numShapes
 )
 
-func classify(r segtree.Rect) shapeClass {
+func classify(r Rect) shapeClass {
 	switch {
 	case r.IsPoint():
 		return shapePoint
@@ -98,7 +97,7 @@ func (t *Trie) WriteTo(w io.Writer) (int64, error) {
 	// Each bucket receives the same elements in the same order regardless
 	// of the pool size, and sort.Slice is deterministic for a fixed input,
 	// so the emitted bytes are identical for any worker count.
-	var buckets [numShapes][2][]segtree.Rect
+	var buckets [numShapes][2][]Rect
 	for _, r := range t.rects {
 		c := 1
 		if r.Case1 {
@@ -173,7 +172,7 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 type fileContents struct {
 	numPointers, numObjects, numGroups int
 	pointerTS, objectTS                []int
-	rects                              []segtree.Rect
+	rects                              []Rect
 }
 
 func readFile(r io.Reader) (*fileContents, error) {
@@ -263,7 +262,7 @@ func readFile(r io.Reader) (*fileContents, error) {
 			}
 			prevX := 0
 			for k := 0; k < count; k++ {
-				var r segtree.Rect
+				var r Rect
 				r.Case1 = c == 0
 				dx, err := u("x1")
 				if err != nil {
@@ -311,11 +310,12 @@ func readFile(r io.Reader) (*fileContents, error) {
 				}
 				// Both sides must stay inside the timestamp axis: buildIndex
 				// indexes ptList[a] for every a in [X1,X2] as well as
-				// [Y1,Y2]. Canonical (X1 ≤ X2 < Y1 ≤ Y2) narrows X2 further,
-				// but X2 is checked explicitly so a corrupted hline or rect
-				// fails here with an error instead of a panic downstream.
-				if r.X2 >= fc.numGroups || r.Y2 >= fc.numGroups || !r.Canonical() {
-					return nil, fmt.Errorf("pestrie: malformed rectangle %v", r)
+				// [Y1,Y2]. The canonical order (X1 ≤ X2 < Y1 ≤ Y2) narrows X2
+				// further, but X2 is checked explicitly so a corrupted hline or
+				// rect fails here with an error instead of a panic downstream.
+				if r.X2 >= fc.numGroups || r.Y2 >= fc.numGroups ||
+					!(r.X1 <= r.X2 && r.X2 < r.Y1 && r.Y1 <= r.Y2) {
+					return nil, fmt.Errorf("pestrie: malformed rectangle <%d,%d,%d,%d>", r.X1, r.X2, r.Y1, r.Y2)
 				}
 				fc.rects = append(fc.rects, r)
 			}

@@ -13,7 +13,8 @@ import (
 // TestParallelBuildByteIdentical is the determinism contract of the -j
 // flag: for any matrix and any option combination, the persisted file of a
 // parallel build is byte-for-byte the file of the sequential build. Run
-// under -race this also exercises the candidate-generation fan-out.
+// under -race this also exercises the parallel transpose, hub order,
+// equivalence hashing and shape-section sorts.
 func TestParallelBuildByteIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -18,7 +18,8 @@
 //     into a contiguous timestamp interval; per origin, the cross-edge
 //     subtree intervals and the PES interval are paired into rectangle
 //     labels, discarding rectangles enclosed by earlier ones (Theorem 2)
-//     using a segment-tree point-enclosure index.
+//     with one floor search over the sorted ranges already crossing the
+//     candidate's column.
 //  4. Persistence (Fig. 5): timestamps plus shape-split rectangles (points,
 //     vertical/horizontal lines, full rectangles) are written to a compact
 //     varint-encoded file, which Load turns back into an Index answering
@@ -28,7 +29,6 @@ package core
 import (
 	"pestrie/internal/matrix"
 	"pestrie/internal/par"
-	"pestrie/internal/segtree"
 )
 
 // Options configure Pestrie construction.
@@ -53,12 +53,11 @@ type Options struct {
 
 	// Workers sizes the worker pool used by the parallelizable
 	// construction stages (transpose, hub-degree ordering,
-	// equivalence-class hashing, rectangle candidate generation, and the
-	// shape-section sorts in WriteTo). Zero or negative selects
-	// GOMAXPROCS; 1 forces the fully sequential pipeline. The persisted
-	// file is byte-identical for every worker count: candidates are
-	// generated per origin in parallel but the Theorem-2 pruning pass
-	// replays them sequentially in origin order (see generateRectangles).
+	// equivalence-class hashing, and the shape-section sorts in WriteTo)
+	// and by Index's column assembly. Zero or negative selects GOMAXPROCS;
+	// 1 forces the fully sequential pipeline. Rectangle generation is one
+	// streaming pass whatever the count, and the persisted file is
+	// byte-identical for every worker count.
 	Workers int
 }
 
@@ -104,7 +103,7 @@ type Trie struct {
 	pointerTS []int // pre-order timestamp per pointer; -1 if unplaced
 	objectTS  []int // pre-order timestamp per object
 
-	rects []segtree.Rect // retained rectangle labels, generation order
+	rects []Rect // retained rectangle labels, generation order
 
 	workers int // pool size used by WriteTo/Index; set by Build
 
@@ -137,7 +136,7 @@ func Build(pm *matrix.PointsTo, opts *Options) *Trie {
 	}
 	t.partition(pm, order, opts.MergeEquivalentObjects, workers)
 	t.assignTimestamps()
-	t.generateRectangles(!opts.DisablePruning, workers)
+	t.generateRectangles(!opts.DisablePruning)
 	return t
 }
 
@@ -156,7 +155,7 @@ func validateOrder(order []int, m int) {
 
 // Rects returns the retained rectangle labels. The slice must not be
 // modified.
-func (t *Trie) Rects() []segtree.Rect { return t.rects }
+func (t *Trie) Rects() []Rect { return t.rects }
 
 // PointerTimestamps returns the per-pointer pre-order timestamps (-1 for
 // pointers with empty points-to sets). The slice must not be modified.

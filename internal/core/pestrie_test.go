@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"pestrie/internal/matrix"
-	"pestrie/internal/segtree"
 )
 
 // paperPM is the running example of the paper (Table 3). IDs are
@@ -88,7 +87,7 @@ func TestPaperRectangles(t *testing.T) {
 	// Figure 4: seven retained rectangles; the walkthrough prunes
 	// <1,1,6,6> as enclosed by <1,2,5,6>.
 	trie := buildPaper(t)
-	want := map[segtree.Rect]bool{
+	want := map[Rect]bool{
 		{X1: 1, X2: 2, Y1: 4, Y2: 4, Case1: true}:  true,
 		{X1: 1, X2: 2, Y1: 5, Y2: 6, Case1: true}:  true,
 		{X1: 2, X2: 2, Y1: 7, Y2: 7, Case1: true}:  true,
@@ -374,11 +373,11 @@ func TestQuickTheorem2NoPartialOverlap(t *testing.T) {
 		trie := Build(pm, &Options{Order: randomOrder(rng, no)})
 		rects := trie.Rects()
 		for i := 0; i < len(rects); i++ {
-			if !rects[i].Canonical() {
+			if !canonical(rects[i]) {
 				return false
 			}
 			for j := i + 1; j < len(rects); j++ {
-				if rects[i].Overlaps(rects[j]) {
+				if overlaps(rects[i], rects[j]) {
 					return false
 				}
 			}
@@ -406,7 +405,7 @@ func TestQuickPruningOnlyDropsEnclosed(t *testing.T) {
 		for _, r := range full.Rects() {
 			covered := false
 			for _, k := range pruned.Rects() {
-				if k.Encloses(r) {
+				if encloses(k, r) {
 					covered = true
 					break
 				}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"pestrie/internal/par"
@@ -287,22 +289,8 @@ func buildIndex(fc *fileContents, workers int) *Index {
 	})
 	par.Chunks(numGroups, workers, func(lo, hi int) {
 		for ts := lo; ts < hi; ts++ {
-			l := cols[ts]
-			sort.Slice(l, func(i, j int) bool {
-				if l[i].lo != l[j].lo {
-					return l[i].lo < l[j].lo
-				}
-				if l[i].hi != l[j].hi {
-					return l[i].hi > l[j].hi // widest first so dedup sees the encloser
-				}
-				if l[i].case1 != l[j].case1 {
-					return l[i].case1 // case-1 first among equals
-				}
-				// Plain orientation before mirrored: a total order, so the
-				// sorted column is unique however it was produced.
-				return !l[i].mirror && l[j].mirror
-			})
-			cols[ts] = dedupColumn(l)
+			slices.SortFunc(cols[ts], compareEntries)
+			cols[ts] = dedupColumn(cols[ts])
 		}
 	})
 	// Flatten the deduped columns into the ents/entStart layout queries
@@ -320,6 +308,30 @@ func buildIndex(fc *fileContents, workers int) *Index {
 		}
 	})
 	return ix
+}
+
+// compareEntries is the column order buildIndex sorts by: lo ascending,
+// then hi descending (widest first so dedup sees the encloser), case-1
+// before case-2 among equals, and plain orientation before mirrored. It is
+// a total order, so the sorted column is unique however it was produced.
+func compareEntries(a, b listEntry) int {
+	switch {
+	case a.lo != b.lo:
+		return cmp.Compare(a.lo, b.lo)
+	case a.hi != b.hi:
+		return cmp.Compare(b.hi, a.hi)
+	case a.case1 != b.case1:
+		if a.case1 {
+			return -1
+		}
+		return 1
+	case a.mirror != b.mirror:
+		if b.mirror {
+			return -1
+		}
+		return 1
+	}
+	return 0
 }
 
 // toInt32s narrows decode-time timestamp slices; every value fits int32
@@ -385,9 +397,10 @@ func (ix *Index) pesOf(ts int) int {
 }
 
 // entryCovering binary-searches the column's entries for one whose range
-// contains y. Ranges above the column are pairwise disjoint (nested ones
-// are dropped by dedupColumn), so at most one matches and the
-// predecessor-by-lo is the only candidate.
+// contains y. The ranges of a column are pairwise disjoint (a decoded
+// column drops nested ones in dedupColumn; generateRectangles' columns
+// hold retained rectangles, disjoint by Theorem 2), so at most one matches
+// and the predecessor-by-lo is the only candidate.
 func entryCovering(list []listEntry, y int32) (listEntry, bool) {
 	i := sort.Search(len(list), func(i int) bool { return list[i].lo > y })
 	if i == 0 {

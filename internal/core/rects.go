@@ -1,9 +1,29 @@
 package core
 
 import (
-	"pestrie/internal/par"
-	"pestrie/internal/segtree"
+	"slices"
+	"sort"
 )
+
+// Rect is a rectangle label <X1, X2, Y1, Y2> (§3.4.1): the cross product of
+// two disjoint interval labels, with X1 ≤ X2 < Y1 ≤ Y2 by convention.
+type Rect struct {
+	X1, X2, Y1, Y2 int
+	// Case1 marks rectangles whose [Y1,Y2] side is a whole PES interval;
+	// those additionally encode points-to facts (Y1 is the pre-order
+	// timestamp of an origin node).
+	Case1 bool
+}
+
+// IsPoint reports whether the rectangle degenerates to a single point.
+func (r Rect) IsPoint() bool { return r.X1 == r.X2 && r.Y1 == r.Y2 }
+
+// IsVLine reports whether the rectangle degenerates to a vertical line
+// (single column, multiple rows).
+func (r Rect) IsVLine() bool { return r.X1 == r.X2 && r.Y1 != r.Y2 }
+
+// IsHLine reports whether the rectangle degenerates to a horizontal line.
+func (r Rect) IsHLine() bool { return r.X1 != r.X2 && r.Y1 == r.Y2 }
 
 // generateRectangles implements §3.4.1: visiting origins in object order,
 // pair the ξ-reachable subtree intervals of each origin's cross edges with
@@ -12,65 +32,51 @@ import (
 // retained rectangle. By Theorem 2 a covered corner implies full enclosure,
 // so the discard is lossless.
 //
-// The stage is split so it parallelizes without changing the output:
-// candidate generation is independent per origin (subtree intervals and
-// Case-1/Case-2 pairing read only the finished partition forest), so it
-// fans out across the worker pool; the Theorem-2 pruning pass — whose
-// enclosure index is inherently order-dependent — then replays the
-// candidates sequentially in the exact origin order the sequential build
-// uses. Retained rectangles, and therefore the persisted file, are
-// byte-identical for every worker count.
-func (t *Trie) generateRectangles(prune bool, workers int) {
+// The paper finds the covering rectangle with a segment tree whose nodes
+// hold balanced trees sorted by Y1. Theorem 2 also makes retained
+// rectangles pairwise disjoint, so the Y ranges of those crossing any one
+// column are disjoint too: keeping each column's ranges sorted by lo, the
+// corner (X1, Y1) is covered iff the floor entry of column X1 contains Y1,
+// the same search queries run on a decoded index (entryCovering). Origins
+// stream through one at a time, so the output is independent of the
+// worker count.
+func (t *Trie) generateRectangles(prune bool) {
 	if t.NumGroups == 0 {
 		return
 	}
-	var index *segtree.Tree
+	var cols [][]listEntry
 	if prune {
-		index = segtree.NewTree(t.NumGroups)
+		cols = make([][]listEntry, t.NumGroups)
 	}
-	retain := func(cands []segtree.Rect) {
+	var cands []Rect
+	for idx := range t.origins {
+		cands = t.originCandidates(idx, cands[:0])
 		for _, r := range cands {
 			t.Candidates++
 			if prune {
-				if index.Covers(r.X1, r.Y1) {
+				if _, covered := entryCovering(cols[r.X1], int32(r.Y1)); covered {
 					t.Pruned++
 					continue
 				}
-				index.Insert(r)
+				e := listEntry{lo: int32(r.Y1), hi: int32(r.Y2)}
+				for x := r.X1; x <= r.X2; x++ {
+					col := cols[x]
+					i := sort.Search(len(col), func(i int) bool { return col[i].lo > e.lo })
+					cols[x] = slices.Insert(col, i, e)
+				}
 			}
 			t.rects = append(t.rects, r)
 		}
 	}
-	if workers <= 1 {
-		// Sequential: stream one origin at a time, keeping peak memory at
-		// the largest single origin's candidate list.
-		for idx := range t.origins {
-			retain(t.originCandidates(idx))
-		}
-		return
-	}
-	// Parallel: materialize every origin's candidates (memory is bounded
-	// by the Candidates stat), then replay them in origin order.
-	candidates := make([][]segtree.Rect, len(t.origins))
-	par.Chunks(len(t.origins), workers, func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			candidates[idx] = t.originCandidates(idx)
-		}
-	})
-	for _, cands := range candidates {
-		retain(cands)
-	}
 }
 
-// originCandidates enumerates the rectangle candidates of one origin in
-// the canonical order: Case-1 per cross edge first, then Case-2 pairs in
-// (i, j) order. This single enumeration backs both the sequential and the
-// parallel build, which is what pins their candidate streams to each
-// other.
-func (t *Trie) originCandidates(idx int) []segtree.Rect {
+// originCandidates appends the rectangle candidates of one origin to out
+// in the canonical order: Case-1 per cross edge first, then Case-2 pairs in
+// (i, j) order.
+func (t *Trie) originCandidates(idx int, out []Rect) []Rect {
 	edges := t.cross[idx]
 	if len(edges) == 0 {
-		return nil
+		return out
 	}
 	org := t.origins[idx]
 	pes := interval{org.pre, org.end}
@@ -78,7 +84,6 @@ func (t *Trie) originCandidates(idx int) []segtree.Rect {
 	for i, e := range edges {
 		subs[i] = subtreeInterval(e)
 	}
-	out := make([]segtree.Rect, 0, len(edges))
 	add := func(a, b interval, case1 bool) {
 		// Canonical orientation: smaller timestamps on the X side. The
 		// construction already guarantees a and b are disjoint, and that
@@ -87,12 +92,12 @@ func (t *Trie) originCandidates(idx int) []segtree.Rect {
 		if a.lo > b.lo {
 			a, b = b, a
 		}
-		out = append(out, segtree.Rect{X1: a.lo, X2: a.hi, Y1: b.lo, Y2: b.hi, Case1: case1})
+		out = append(out, Rect{X1: a.lo, X2: a.hi, Y1: b.lo, Y2: b.hi, Case1: case1})
 	}
 	// Case-1: each cross-edge subtree against the PES interval. These
 	// rectangles carry the points-to facts (Y1 is the origin's timestamp)
-	// and are provably never enclosed, but they still feed the enclosure
-	// index so later Case-2 duplicates are pruned.
+	// and are provably never enclosed, but they still enter the column
+	// ranges so later Case-2 duplicates are pruned.
 	for _, s := range subs {
 		add(s, pes, true)
 	}

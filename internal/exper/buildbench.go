@@ -18,23 +18,29 @@ import (
 // BuildBenchRow measures the parallel construction/decode pipeline against
 // the sequential one for one benchmark: wall-clock times for Build and for
 // decoding the persisted file with -j 1 versus -j N, plus the byte-identity
-// check the pipeline guarantees. Serialized to BENCH_build.json.
+// check the pipeline guarantees. Serialized to BENCH_build.json. The host
+// facts say what the timings were measured on; the two parallel speedups
+// are null when GOMAXPROCS is below Workers, since such a run measures
+// time slicing, not parallelism.
 type BuildBenchRow struct {
-	Name     string  `json:"name"`
-	Scale    float64 `json:"scale"`
-	Workers  int     `json:"workers"` // resolved pool size of the parallel runs
-	Pointers int     `json:"pointers"`
-	Objects  int     `json:"objects"`
-	Facts    int     `json:"facts"`
-	PesBytes int64   `json:"pes_bytes"`
+	Name       string  `json:"name"`
+	Scale      float64 `json:"scale"`
+	Workers    int     `json:"workers"` // resolved pool size of the parallel runs
+	Gomaxprocs int     `json:"gomaxprocs"`
+	NumCPU     int     `json:"num_cpu"`
+	GoVersion  string  `json:"go_version"`
+	Pointers   int     `json:"pointers"`
+	Objects    int     `json:"objects"`
+	Facts      int     `json:"facts"`
+	PesBytes   int64   `json:"pes_bytes"`
 
-	BuildSerialNS   int64   `json:"build_serial_ns"`
-	BuildParallelNS int64   `json:"build_parallel_ns"`
-	BuildSpeedup    float64 `json:"build_speedup"`
+	BuildSerialNS   int64    `json:"build_serial_ns"`
+	BuildParallelNS int64    `json:"build_parallel_ns"`
+	BuildSpeedup    *float64 `json:"build_speedup"`
 
-	DecodeSerialNS   int64   `json:"decode_serial_ns"`
-	DecodeParallelNS int64   `json:"decode_parallel_ns"`
-	DecodeSpeedup    float64 `json:"decode_speedup"`
+	DecodeSerialNS   int64    `json:"decode_serial_ns"`
+	DecodeParallelNS int64    `json:"decode_parallel_ns"`
+	DecodeSpeedup    *float64 `json:"decode_speedup"`
 
 	ByteIdentical bool `json:"byte_identical"` // -j1 and -jN .pes files compared
 
@@ -84,12 +90,15 @@ func BuildBench(opts *Options) []BuildBenchRow {
 
 func buildBenchOne(w workload) BuildBenchRow {
 	row := BuildBenchRow{
-		Name:     w.preset.Name,
-		Scale:    w.scale,
-		Workers:  par.Workers(w.workers),
-		Pointers: w.pm.NumPointers,
-		Objects:  w.pm.NumObjects,
-		Facts:    w.pm.Edges(),
+		Name:       w.preset.Name,
+		Scale:      w.scale,
+		Workers:    par.Workers(w.workers),
+		Gomaxprocs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
+		Pointers:   w.pm.NumPointers,
+		Objects:    w.pm.NumObjects,
+		Facts:      w.pm.Edges(),
 	}
 
 	start := time.Now()
@@ -99,7 +108,7 @@ func buildBenchOne(w workload) BuildBenchRow {
 	start = time.Now()
 	parallel := core.Build(w.pm, &core.Options{Workers: w.workers})
 	row.BuildParallelNS = time.Since(start).Nanoseconds()
-	row.BuildSpeedup = nsRatio(row.BuildSerialNS, row.BuildParallelNS)
+	row.BuildSpeedup = parallelSpeedup(row.BuildSerialNS, row.BuildParallelNS, row.Workers)
 
 	var serialFile, parallelFile bytes.Buffer
 	if _, err := serial.WriteTo(&serialFile); err != nil {
@@ -127,7 +136,7 @@ func buildBenchOne(w workload) BuildBenchRow {
 		panic(err)
 	}
 	row.DecodeParallelNS = time.Since(start).Nanoseconds()
-	row.DecodeSpeedup = nsRatio(row.DecodeSerialNS, row.DecodeParallelNS)
+	row.DecodeSpeedup = parallelSpeedup(row.DecodeSerialNS, row.DecodeParallelNS, row.Workers)
 
 	benchV2(decoded, &row)
 	benchSubstrate(w, &row, serialFile.Bytes())
@@ -282,6 +291,24 @@ func equalIntSlices(a, b []int) bool {
 	return true
 }
 
+// parallelSpeedup is serial/parallel, or nil when the process had fewer
+// cores than workers.
+func parallelSpeedup(serialNS, parallelNS int64, workers int) *float64 {
+	if runtime.GOMAXPROCS(0) < workers {
+		return nil
+	}
+	s := nsRatio(serialNS, parallelNS)
+	return &s
+}
+
+// speedupCell renders a parallel speedup, "-" when it is null.
+func speedupCell(s *float64) string {
+	if s == nil {
+		return "-"
+	}
+	return fmt.Sprintf("%.2f×", *s)
+}
+
 func nsRatio(num, den int64) float64 {
 	if den <= 0 {
 		return 0
@@ -298,10 +325,10 @@ func RenderBuildBench(rows []BuildBenchRow) string {
 		"program", "j", "build-j1", "build-jN", "speedup", "dec-j1", "dec-jN", "speedup",
 		"v2-cold", "v2-warm", "speedup", "sub-bld", "sub-dec", "sub-qry", "identical")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %4d | %8.1fms %8.1fms %6.2f× | %8.1fms %8.1fms %6.2f× | %8.3fms %8.3fms %6.0f× | %6.2f× %6.2f× %6.2f× | %v\n",
+		fmt.Fprintf(&b, "%-12s %4d | %8.1fms %8.1fms %7s | %8.1fms %8.1fms %7s | %8.3fms %8.3fms %6.0f× | %6.2f× %6.2f× %6.2f× | %v\n",
 			r.Name, r.Workers,
-			float64(r.BuildSerialNS)/1e6, float64(r.BuildParallelNS)/1e6, r.BuildSpeedup,
-			float64(r.DecodeSerialNS)/1e6, float64(r.DecodeParallelNS)/1e6, r.DecodeSpeedup,
+			float64(r.BuildSerialNS)/1e6, float64(r.BuildParallelNS)/1e6, speedupCell(r.BuildSpeedup),
+			float64(r.DecodeSerialNS)/1e6, float64(r.DecodeParallelNS)/1e6, speedupCell(r.DecodeSpeedup),
 			float64(r.ColdOpenV2NS)/1e6, float64(r.WarmOpenV2NS)/1e6, r.V2OpenSpeedup,
 			r.SubstrateBuildSpeedup, r.SubstrateDecodeSpeedup, r.SubstrateBitencSpeedup,
 			r.ByteIdentical && r.V2Identical && r.SubstrateIdentical)
