@@ -2,6 +2,7 @@ package delta
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -54,8 +55,11 @@ type overlay struct {
 	// with dirty.
 	addBy map[int32][]int32
 	delBy map[int32][]int32
-	// dirtyPtrs is the sorted key set of dirty.
+	// dirtyPtrs is the sorted key set of dirty, and dirtyBits the same
+	// set as a bitset over the pointer universe: a clean pointer is
+	// recognised without a map lookup.
 	dirtyPtrs []int32
+	dirtyBits []uint64
 	bytes     int64
 }
 
@@ -79,12 +83,13 @@ func (ov *overlay) clone() *overlay {
 	return out
 }
 
+// isDirty reports whether p's points-to set differs from the base.
+func (ov *overlay) isDirty(p int) bool {
+	w := uint(p) >> 6
+	return w < uint(len(ov.dirtyBits)) && ov.dirtyBits[w]&(1<<(uint(p)&63)) != 0
+}
+
 func (ov *overlay) finish() {
-	ov.dirtyPtrs = ov.dirtyPtrs[:0]
-	for p := range ov.dirty {
-		ov.dirtyPtrs = append(ov.dirtyPtrs, p)
-	}
-	sort.Slice(ov.dirtyPtrs, func(i, j int) bool { return ov.dirtyPtrs[i] < ov.dirtyPtrs[j] })
 	var n int64
 	for _, v := range ov.dirty {
 		n += int64(len(v))
@@ -95,8 +100,9 @@ func (ov *overlay) finish() {
 	for _, v := range ov.delBy {
 		n += int64(len(v))
 	}
-	// 4 bytes per stored ID plus a flat per-entry charge for map overhead.
-	ov.bytes = n*4 + int64(len(ov.dirty)+len(ov.addBy)+len(ov.delBy))*48
+	// 4 bytes per stored ID plus a flat per-entry charge for map overhead,
+	// plus the dirty bitset.
+	ov.bytes = n*4 + int64(len(ov.dirty)+len(ov.addBy)+len(ov.delBy))*48 + int64(len(ov.dirtyBits))*8
 }
 
 func contains(sorted []int32, x int32) bool {
@@ -131,26 +137,56 @@ func basePts(base *core.Index, p int32) []int32 {
 	for i, o := range pts {
 		out[i] = int32(o)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
+}
+
+// intersects reports whether two ascending lists share an element.
+func intersects(a, b []int32) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 // apply layers one more segment onto the overlay, returning a fresh
 // overlay and leaving the receiver untouched. Application is strict: a
-// segment that adds a fact already present at the parent generation, or
-// removes one that is absent, is rejected — silently tolerating either
-// would let a mis-chained segment corrupt every later generation.
+// segment that breaks the structural invariants a decoded one satisfies
+// (runs ascending by pointer among them), adds a fact already present at
+// the parent generation, or removes one that is absent, is rejected —
+// silently tolerating any would let a mis-chained segment corrupt every
+// later generation.
 func (ov *overlay) apply(base *core.Index, s *Segment) (*overlay, error) {
 	if s.NumPointers < ov.pointers || s.NumObjects < ov.objects {
 		return nil, fmt.Errorf("pesd: segment %d shrinks dimensions %d×%d to %d×%d",
 			s.Gen, ov.pointers, ov.objects, s.NumPointers, s.NumObjects)
 	}
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
 	out := ov.clone()
 	out.pointers, out.objects = s.NumPointers, s.NumObjects
+	// Runs ascend by pointer, so the pointers they newly dirty merge into
+	// the parent's sorted dirtyPtrs in one pass, setting their bits.
+	out.dirtyBits = make([]uint64, (s.NumPointers+63)/64)
+	copy(out.dirtyBits, ov.dirtyBits)
+	out.dirtyPtrs = make([]int32, 0, len(ov.dirtyPtrs)+len(s.Runs))
+	rest := ov.dirtyPtrs
 	for _, r := range s.Runs {
 		cur, wasDirty := out.dirty[r.Ptr]
 		if !wasDirty {
 			cur = basePts(base, r.Ptr)
+			i, _ := slices.BinarySearch(rest, r.Ptr)
+			out.dirtyPtrs = append(append(out.dirtyPtrs, rest[:i]...), r.Ptr)
+			rest = rest[i:]
+			out.dirtyBits[r.Ptr>>6] |= 1 << (r.Ptr & 63)
 		}
 		next := append([]int32(nil), cur...)
 		for _, o := range r.Del {
@@ -183,6 +219,7 @@ func (ov *overlay) apply(base *core.Index, s *Segment) (*overlay, error) {
 		}
 		out.dirty[r.Ptr] = next
 	}
+	out.dirtyPtrs = append(out.dirtyPtrs, rest...)
 	out.finish()
 	return out, nil
 }
@@ -236,11 +273,10 @@ func (sn *Snapshot) MemoryFootprint() int64 {
 }
 
 func (sn *Snapshot) dirtyRow(p int) ([]int32, bool) {
-	if sn.ov == nil {
+	if sn.ov == nil || !sn.ov.isDirty(p) {
 		return nil, false
 	}
-	row, ok := sn.ov.dirty[int32(p)]
-	return row, ok
+	return sn.ov.dirty[int32(p)], true
 }
 
 // PointsTo reports whether p points to o at this generation.
@@ -357,21 +393,35 @@ func (sn *Snapshot) ListAliases(p int) []int {
 		return out
 	}
 	// Clean pointer: the base answer is correct for every clean q (both
-	// sets unchanged); dirty pointers are re-decided against this
-	// generation, whether or not the base aliased them.
-	baseAns := sn.base.ListAliases(p)
-	out := make([]int, 0, len(baseAns))
-	for _, q := range baseAns {
-		if _, dirty := sn.ov.dirty[int32(q)]; !dirty {
-			out = append(out, q)
+	// sets unchanged). A dirty q aliases p through an object o of p's
+	// unchanged set: if q pointed to o in the base, q is in the base answer
+	// and is re-decided against its overlay row; if not, q is in addBy[o].
+	// The clean answers keep the base order and the dirty ones follow,
+	// ascending. The base answer is freshly allocated, so it is filtered
+	// in place.
+	out := sn.base.ListAliases(p)
+	if out == nil {
+		out = []int{} // an overlay answer is never null on the wire
+	}
+	rowP := basePts(sn.base, int32(p))
+	var dirty []int
+	n := 0
+	for _, q := range out {
+		switch {
+		case !sn.ov.isDirty(q):
+			out[n] = q
+			n++
+		case intersects(rowP, sn.ov.dirty[int32(q)]):
+			dirty = append(dirty, q)
 		}
 	}
-	for _, q := range sn.ov.dirtyPtrs {
-		if int(q) != p && sn.IsAlias(p, int(q)) {
-			out = append(out, int(q))
+	for _, o := range rowP {
+		for _, q := range sn.ov.addBy[o] {
+			dirty = append(dirty, int(q))
 		}
 	}
-	return out
+	slices.Sort(dirty)
+	return append(out[:n], slices.Compact(dirty)...)
 }
 
 // DirtyPointers returns the sorted pointers whose points-to sets differ

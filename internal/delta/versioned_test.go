@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -25,7 +26,7 @@ func stream(t testing.TB, p *synth.Preset, seed int64, steps int, grow bool) (*c
 	t.Helper()
 	pm := p.Generate(presetScale)
 	ix := core.Build(pm, nil).Index()
-	cfg := synth.EditConfig{Seed: seed, EditsPerStep: 32}
+	cfg := synth.EditConfig{Seed: seed, EditsPerStep: 32, AddFrac: 0.7}
 	if grow {
 		cfg.GrowEvery = 2
 	}
@@ -322,4 +323,44 @@ func TestChainDiscovery(t *testing.T) {
 		t.Fatal("corrupt chain did not degrade to the base")
 	}
 	v.Close()
+}
+
+// TestExtendRejectsMalformedSegment: an in-memory segment gets the same
+// structural checks as a decoded one before it is applied, because apply
+// merges the pointers a segment dirties on the assumption that its runs
+// ascend.
+func TestExtendRejectsMalformedSegment(t *testing.T) {
+	pm := synth.PresetByName("antlr").Generate(presetScale)
+	v, err := delta.NewVersioned(core.Build(pm, nil).Index())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	p0, p1 := -1, -1
+	for p := 0; p < pm.NumPointers && p1 < 0; p++ {
+		if pm.Row(p).Count() > 0 {
+			if p0 < 0 {
+				p0 = p
+			} else {
+				p1 = p
+			}
+		}
+	}
+	del := func(p int) delta.Run {
+		return delta.Run{Ptr: int32(p), Del: []int32{int32(pm.Row(p).Members()[0])}}
+	}
+	seg := &delta.Segment{Gen: 1, NumPointers: pm.NumPointers, NumObjects: pm.NumObjects,
+		Runs: []delta.Run{del(p1), del(p0)}}
+	if _, err := v.Extend(seg); err == nil {
+		t.Fatal("a segment with descending runs applied")
+	}
+	seg.Runs[0], seg.Runs[1] = seg.Runs[1], seg.Runs[0]
+	ext, err := v.Extend(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ext.Close()
+	if got, want := ext.Head().DirtyPointers(), []int{p0, p1}; !slices.Equal(got, want) {
+		t.Fatalf("dirty pointers %v, want %v", got, want)
+	}
 }

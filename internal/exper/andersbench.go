@@ -19,8 +19,9 @@ import (
 // preset: constraint-system dimensions, what the HVN and cycle-collapsing
 // reductions removed, solve wall-clock at -j1 vs -jN, the HVN ablation,
 // and the matrix-identity check the engine guarantees across all of them.
-// Serialized to BENCH_anders.json. Gomaxprocs is recorded because parallel
-// speedup is only meaningful relative to the cores the run actually had.
+// Serialized to BENCH_anders.json. The host facts say what the timings
+// were measured on; the parallel speedup is null when GOMAXPROCS is below
+// Workers, since such a run measures time slicing, not parallelism.
 type AndersBenchRow struct {
 	Name        string `json:"name"`
 	Funcs       int    `json:"funcs"`
@@ -31,14 +32,16 @@ type AndersBenchRow struct {
 	MatrixFacts int    `json:"matrix_facts"`
 	Workers     int    `json:"workers"` // resolved pool size of the parallel run
 	Gomaxprocs  int    `json:"gomaxprocs"`
+	NumCPU      int    `json:"num_cpu"`
+	GoVersion   string `json:"go_version"`
 
 	HVNMerged   int `json:"hvn_merged_vars"`
 	CycleMerged int `json:"cycle_merged_vars"`
 	Rounds      int `json:"rounds"`
 
-	SolveSerialNS   int64   `json:"solve_serial_ns"`
-	SolveParallelNS int64   `json:"solve_parallel_ns"`
-	ParallelSpeedup float64 `json:"parallel_speedup"`
+	SolveSerialNS   int64    `json:"solve_serial_ns"`
+	SolveParallelNS int64    `json:"solve_parallel_ns"`
+	ParallelSpeedup *float64 `json:"parallel_speedup"`
 
 	SolveNoHVNNS int64   `json:"solve_nohvn_ns"`
 	HVNSpeedup   float64 `json:"hvn_speedup"` // serial solve, HVN off vs on
@@ -100,6 +103,8 @@ func andersBenchOne(p ir.ProgPreset, workers int) AndersBenchRow {
 		Stmts:      prog.NumStmts(),
 		Workers:    par.Workers(workers),
 		Gomaxprocs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
 	}
 
 	solve := func(o anders.Options) (*anders.Result, int64) {
@@ -142,7 +147,7 @@ func andersBenchOne(p ir.ProgPreset, workers int) AndersBenchRow {
 	row.Rounds = st.Rounds
 	row.SolveSerialNS = serialNS
 	row.SolveParallelNS = parallelNS
-	row.ParallelSpeedup = nsRatio(serialNS, parallelNS)
+	row.ParallelSpeedup = parallelSpeedup(serialNS, parallelNS, row.Workers)
 	row.SolveNoHVNNS = nohvnNS
 	row.HVNSpeedup = nsRatio(nohvnNS, serialNS)
 	if parallelNS > 0 {
@@ -178,9 +183,9 @@ func RenderAndersBench(rows []AndersBenchRow) string {
 		"preset", "j", "cons", "hvn", "cyc",
 		"solve-j1", "solve-jN", "speedup", "no-hvn", "hvn×", "linked", "sub×", "cons/s", "identical")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %4d | %8d %7d %6d | %8.1fms %8.1fms %6.2f× | %8.1fms %6.2f× | %8.1fms %6.2f× | %11.0f | %v\n",
+		fmt.Fprintf(&b, "%-14s %4d | %8d %7d %6d | %8.1fms %8.1fms %7s | %8.1fms %6.2f× | %8.1fms %6.2f× | %11.0f | %v\n",
 			r.Name, r.Workers, r.Constraints, r.HVNMerged, r.CycleMerged,
-			float64(r.SolveSerialNS)/1e6, float64(r.SolveParallelNS)/1e6, r.ParallelSpeedup,
+			float64(r.SolveSerialNS)/1e6, float64(r.SolveParallelNS)/1e6, speedupCell(r.ParallelSpeedup),
 			float64(r.SolveNoHVNNS)/1e6, r.HVNSpeedup,
 			float64(r.SolveLinkedNS)/1e6, r.SubstrateSpeedup,
 			r.ConstraintsPerSec, r.MatrixIdentical && r.SubstrateIdentical)

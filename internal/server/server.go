@@ -330,21 +330,26 @@ func (s *Server) runBatch(ctx context.Context, b *backend, ix delta.Index, tag s
 		}()
 	}
 	unanswered := 0
-feed:
 	for i := range queries {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			// Queries i.. were never handed to a worker; the marked tail
-			// is disjoint from the indices workers write, so no race.
-			msg := fmt.Sprintf("server: unanswered, batch canceled after %d/%d queries: %v",
-				i, len(queries), ctx.Err())
-			for j := i; j < len(queries); j++ {
-				results[j] = Result{Err: msg}
+		// select picks at random among ready cases, so a done ctx is
+		// checked before each offer; the select still catches a cancel
+		// that lands while the send waits for a worker.
+		if ctx.Err() == nil {
+			select {
+			case next <- i:
+				continue
+			case <-ctx.Done():
 			}
-			unanswered = len(queries) - i
-			break feed
 		}
+		// Queries i.. were never handed to a worker; the marked tail is
+		// disjoint from the indices workers write, so no race.
+		msg := fmt.Sprintf("server: unanswered, batch canceled after %d/%d queries: %v",
+			i, len(queries), ctx.Err())
+		for j := i; j < len(queries); j++ {
+			results[j] = Result{Err: msg}
+		}
+		unanswered = len(queries) - i
+		break
 	}
 	close(next)
 	wg.Wait()
