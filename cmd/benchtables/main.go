@@ -12,7 +12,7 @@
 //
 // Tables: 2, fig1, 7, 8, fig7, ablation, build, all, plus anders (run
 // only when named — it measures the constraint engine, not a paper
-// table). The build experiment measures -j1 vs -jN construction and
+// table). The build experiment measures construction and -j1 vs -jN
 // decode (see internal/exper's BuildBench); the anders experiment
 // measures constraint solving across worker counts and the HVN ablation
 // over the program presets (`ptagen list`). -j sizes the pools and -json

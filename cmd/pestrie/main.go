@@ -3,13 +3,13 @@
 //
 // Usage:
 //
-//	pestrie encode -in pm.ptm -out pm.pes [-v2] [-random-order] [-merge-objects] [-j N]
+//	pestrie encode -in pm.ptm -out pm.pes [-v2] [-random-order] [-merge-objects]
 //	pestrie info -in pm.pes [-j N]
 //	pestrie query -in pm.pes -op isalias -p 3 -q 7
 //	pestrie query -in pm.pes -op aliases|pointsto -p 3 [-at gen|head]
 //	pestrie query -in pm.pes -op pointedby -o 5
 //	pestrie delta -base pm.pes -new updated.ptm [-out pm.d000001.pesd]
-//	pestrie compact -in pm.pes -out pm2.pes [-gen N] [-v2] [-j N]
+//	pestrie compact -in pm.pes -out pm2.pes [-gen N] [-v2]
 //	pestrie serve -in pm.pes[,name=other.pes...] -addr :7171
 //	pestrie serve -store-dir ./pes -mem-budget 64MiB -reload-interval 30s
 //	pestrie bench-serve -addr http://host:7171 -in pm.pes -n 200 [-zipf 1.2]
@@ -459,7 +459,6 @@ func compact(args []string) error {
 	mergeObjects := fs.Bool("merge-objects", false, "merge equivalent objects into shared origins")
 	noPrune := fs.Bool("no-prune", false, "disable Theorem-2 rectangle pruning")
 	v2 := fs.Bool("v2", false, "write the zero-copy PES2 format")
-	jobs := fs.Int("j", 0, "construction worker count (0 = GOMAXPROCS); output is identical for any value")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		return fmt.Errorf("compact needs -in and -out")
@@ -480,7 +479,7 @@ func compact(args []string) error {
 		return err
 	}
 	defer idx.Close()
-	opts := &core.Options{MergeEquivalentObjects: *mergeObjects, DisablePruning: *noPrune, Workers: *jobs}
+	opts := &core.Options{MergeEquivalentObjects: *mergeObjects, DisablePruning: *noPrune}
 	var trie *pestrie.Trie
 	var cerr error
 	dur := perf.Time(func() { trie, cerr = delta.Compact(idx, chain.Segs, g, opts) })
@@ -557,7 +556,6 @@ func encode(args []string) error {
 	mergeObjects := fs.Bool("merge-objects", false, "merge equivalent objects into shared origins")
 	noPrune := fs.Bool("no-prune", false, "disable Theorem-2 rectangle pruning")
 	v2 := fs.Bool("v2", false, "write the zero-copy PES2 format (memory-mapped by readers; larger than PES1 but opens without a decode)")
-	jobs := fs.Int("j", 0, "construction worker count (0 = GOMAXPROCS, 1 = sequential); output is identical for any value")
 	fs.Parse(args)
 	if (*in == "") == (*facts == "") || *out == "" {
 		return fmt.Errorf("encode needs exactly one of -in/-facts, plus -out")
@@ -585,7 +583,7 @@ func encode(args []string) error {
 		}
 		pm = fa.PM
 	}
-	opts := &core.Options{MergeEquivalentObjects: *mergeObjects, DisablePruning: *noPrune, Workers: *jobs}
+	opts := &core.Options{MergeEquivalentObjects: *mergeObjects, DisablePruning: *noPrune}
 	if *randomOrder {
 		opts.Order = rand.New(rand.NewSource(*seed)).Perm(pm.NumObjects)
 	}

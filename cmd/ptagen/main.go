@@ -269,7 +269,7 @@ func mutate(args []string) error {
 	steps := fs.Int("steps", 5, "delta segments to emit")
 	edits := fs.Int("edits", 0, "fact flips per step (0 = 64)")
 	seed := fs.Int64("seed", 1, "edit-stream seed")
-	addFrac := fs.Float64("add-frac", 0.7, "fraction of edits that add a fact")
+	addFrac := fs.Float64("add-frac", 0.7, "fraction of edits that add a fact (<= 0 or > 1 = 0.7)")
 	growEvery := fs.Int("grow-every", 0, "grow the pointer/object universe every Nth step (0 = never)")
 	growPointers := fs.Int("grow-pointers", 0, "pointers added per growth step (0 = 8)")
 	growObjects := fs.Int("grow-objects", 0, "objects added per growth step (0 = 4)")

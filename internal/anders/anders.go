@@ -15,11 +15,12 @@
 //     Tarjan's algorithm and collapsed into a single representative via
 //     union-find, in the style of Nuutila/lazy cycle elimination.
 //  3. Wave propagation (wave.go): the condensed copy graph is topologically
-//     levelized and point-to deltas are pulled level by level, fanning each
-//     level out across an internal/par worker pool. The computed matrix is
-//     identical for every worker count — Andersen's least fixpoint is
-//     unique, and every table the solver emits is derived deterministically
-//     from the input program alone.
+//     levelized and point-to deltas are pulled level by level; each round
+//     then scans the loads and stores over an internal/par worker pool to
+//     add the copy edges their new points-to members imply. The computed
+//     matrix is identical for every worker count — Andersen's least
+//     fixpoint is unique, and every table the solver emits is derived
+//     deterministically from the input program alone.
 //
 // Beyond the base analysis it provides call-site cloning (heap cloning
 // included), which materializes k-callsite context sensitivity by program
@@ -72,7 +73,7 @@ type Stats struct {
 	CycleMerged int
 	// Rounds counts wave-propagation rounds to fixpoint.
 	Rounds int
-	// Workers is the resolved propagation pool size.
+	// Workers is the resolved deref-scan pool size.
 	Workers int
 }
 
@@ -101,9 +102,9 @@ type Options struct {
 	// Recursive call edges are never cloned.
 	CloneDepth int
 
-	// Workers sizes the wave-propagation worker pool: <= 0 selects
-	// GOMAXPROCS, 1 solves strictly sequentially. The resulting matrix and
-	// name tables are identical for every worker count.
+	// Workers sizes the worker pool of the per-round deref scan: <= 0
+	// selects GOMAXPROCS, 1 solves strictly sequentially. The resulting
+	// matrix and name tables are identical for every worker count.
 	Workers int
 
 	// DisableHVN skips the offline HVN substitution pass. The result is

@@ -10,17 +10,15 @@ package anders
 //     multi-node SCC into its minimum-ID member via union-find. Copy
 //     cycles force their members' points-to sets equal at the fixpoint,
 //     so a cycle is pure duplicate work; collapsing also makes the
-//     remaining graph a DAG, which is what lets the wave parallelize.
+//     remaining graph a DAG, which is what lets one wave be complete.
 //  2. schedule: levelize the DAG (longest path from a root), so that
 //     every copy edge goes from a lower level to a strictly higher one.
-//  3. wave: process levels in order, fanning each level across the worker
-//     pool. A node *pulls* from its predecessors — the delta (dif) over
-//     already-propagated bits for established edges, the full set for
-//     edges added since the last wave — then records its own delta. Pulling
-//     makes the phase race-free by construction: a node's sets are written
-//     only while its level is being processed, and its predecessors all
-//     sit at lower, already-finished levels. One pass is complete: deltas
-//     ride the wave transitively down the DAG.
+//  3. wave: process levels in order. A node *pulls* from its predecessors
+//     — the delta (dif) over already-propagated bits for established
+//     edges, the full set for edges added since the last wave — then
+//     records its own delta. Its predecessors all sit at lower,
+//     already-finished levels, so one pass is complete: deltas ride the
+//     wave transitively down the DAG.
 //  4. deref: scan each load/store pointer's delta since the last scan and
 //     turn new points-to members into copy edges (load `d = *p` yields
 //     obj→d, store `*p = s` yields s→obj). Candidate edges are collected
@@ -40,9 +38,9 @@ import (
 	"pestrie/internal/par"
 )
 
-// parallelLevelMin is the smallest level width worth fanning out; below
-// it, goroutine handoff costs more than the propagation work.
-const parallelLevelMin = 64
+// parallelDerefMin is the smallest deref scan, in load/store pointers,
+// worth fanning out; below it, goroutine handoff costs more than the scan.
+const parallelDerefMin = 64
 
 type waveSolver struct {
 	s       *solver
@@ -295,43 +293,34 @@ func (w *waveSolver) schedule() [][]nodeID {
 
 // wave runs one propagation pass over the levelized DAG. Each node pulls
 // its predecessors' deltas (full sets over new edges), then publishes its
-// own delta for the next level. Within a level nodes touch disjoint state,
-// so the level fans out across the pool; the per-level join is the only
-// synchronization the phase needs.
+// own delta for the next level.
 func (w *waveSolver) wave(levels [][]nodeID) {
 	for _, lvl := range levels {
-		process := func(lo, hi int) {
-			for _, v := range lvl[lo:hi] {
-				changed := false
-				for _, u := range w.predsNew[v] {
-					if w.pts[v].OrChanged(w.pts[u]) {
-						changed = true
-					}
+		for _, v := range lvl {
+			changed := false
+			for _, u := range w.predsNew[v] {
+				if w.pts[v].OrChanged(w.pts[u]) {
+					changed = true
 				}
-				for _, u := range w.preds[v] {
-					if w.pts[v].OrChanged(w.dif[u]) {
-						changed = true
-					}
-				}
-				if !changed && w.clean[v] {
-					// done == pts held on entry and no pull added a bit, so
-					// the delta is empty — skip the Copy/AndNot entirely.
-					w.dif[v] = w.emptyDif
-					continue
-				}
-				d := w.pts[v].Copy()
-				d.AndNot(w.done[v])
-				w.dif[v] = d
-				if !d.Empty() {
-					w.done[v].Or(d)
-				}
-				w.clean[v] = true
 			}
-		}
-		if w.workers <= 1 || len(lvl) < parallelLevelMin {
-			process(0, len(lvl))
-		} else {
-			par.Chunks(len(lvl), w.workers, process)
+			for _, u := range w.preds[v] {
+				if w.pts[v].OrChanged(w.dif[u]) {
+					changed = true
+				}
+			}
+			if !changed && w.clean[v] {
+				// done == pts held on entry and no pull added a bit, so
+				// the delta is empty — skip the Copy/AndNot entirely.
+				w.dif[v] = w.emptyDif
+				continue
+			}
+			d := w.pts[v].Copy()
+			d.AndNot(w.done[v])
+			w.dif[v] = d
+			if !d.Empty() {
+				w.done[v].Or(d)
+			}
+			w.clean[v] = true
 		}
 	}
 }
@@ -408,7 +397,7 @@ func (w *waveSolver) addDerefEdges() bool {
 		chunkTargets[ci] = targets
 		chunkTouched[ci] = touched
 	}
-	if w.workers <= 1 || len(deref) < parallelLevelMin {
+	if w.workers <= 1 || len(deref) < parallelDerefMin {
 		scan(0, len(deref))
 	} else {
 		par.Chunks(len(deref), w.workers, scan)

@@ -2,7 +2,7 @@ package core
 
 import "pestrie/internal/matrix"
 
-// partition runs the §3.1 construction: process the pointed-by matrix PMT
+// partition runs the §3.1 construction: process the pointed-by matrix pmt
 // one object row at a time in the given order, splitting pointer groups.
 //
 // Invariants established here and relied on everywhere else:
@@ -14,8 +14,7 @@ import "pestrie/internal/matrix"
 //   - group membership only shrinks after creation, so a cross edge with
 //     ξ-value ω covers precisely the target plus the subtrees of its tree
 //     edges labelled ≥ ω (§3.3).
-func (t *Trie) partition(pm *matrix.PointsTo, order []int, mergeObjects bool, workers int) {
-	pmt := pm.TransposeWith(workers)
+func (t *Trie) partition(pmt *matrix.PointsTo, order []int, mergeObjects bool) {
 	groupOf := make([]*group, t.NumPointers)
 	t.objectTS = make([]int, t.NumObjects) // filled by assignTimestamps
 	originOf := make([]*group, t.NumObjects)
@@ -23,12 +22,11 @@ func (t *Trie) partition(pm *matrix.PointsTo, order []int, mergeObjects bool, wo
 	// With object merging enabled, identical pointed-by rows share one
 	// origin. The representative is the first object of the class in the
 	// processing order. The pointer-side classes of the transpose are
-	// exactly the object classes of pm, so the pmt computed above is
-	// reused instead of transposing a second time.
+	// exactly the object classes of pm, so pmt serves for those too.
 	var objClass []int
 	repOf := map[int]int{} // class -> representative object
 	if mergeObjects {
-		objClass, _ = pmt.EquivalenceClassesWith(workers)
+		objClass, _ = pmt.EquivalenceClasses()
 	}
 
 	newGroup := func() *group {

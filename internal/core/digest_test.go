@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pestrie/internal/core"
+	"pestrie/internal/matrix"
 	"pestrie/internal/synth"
 )
 
@@ -128,8 +129,26 @@ var decodeDigests = []presetDigests{
 		"42804e80904c42abcb055dbacd9b583a4deed9849209efdb523f7afa306be229"},
 }
 
+// largeBuildDigests pins default-options builds above the 0.005 table's
+// scale: fop at 0.05 is the largest preset at the scale of
+// BENCH_build.json and of the CI encode gate, and its rectangle stage
+// weighs ~4.2M candidates.
+var largeBuildDigests = []struct {
+	preset string
+	scale  float64
+	plain  string
+}{
+	{"fop", 0.05, "24e4d58793d0c59c85aa3a2eb135ec7b5e105d075938cfa8cd6f223cfa426ad3"},
+}
+
 func TestBuildDigests(t *testing.T) {
-	checkDigests(t, buildDigests, func(pes1 []byte) []byte { return pes1 })
+	checkDigests(t, buildDigests, identity)
+	for _, want := range largeBuildDigests {
+		pm := synth.PresetByName(want.preset).Generate(want.scale)
+		if got := digest(t, pm, nil, identity); got != want.plain {
+			t.Errorf("%s at scale %v: sha256 %s, want %s", want.preset, want.scale, got, want.plain)
+		}
+	}
 }
 
 func TestDecodeDigests(t *testing.T) {
@@ -167,14 +186,23 @@ func checkDigests(t *testing.T, table []presetDigests, output func(pes1 []byte) 
 			{&core.Options{DisablePruning: true}, want.unpruned},
 			{&core.Options{MergeEquivalentObjects: true}, want.merged},
 		} {
-			var buf bytes.Buffer
-			if _, err := core.Build(pm, c.opts).WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(output(buf.Bytes()))
-			if got := hex.EncodeToString(sum[:]); got != c.want {
+			if got := digest(t, pm, c.opts, output); got != c.want {
 				t.Errorf("%s %+v: sha256 %s, want %s", want.preset, c.opts, got, c.want)
 			}
 		}
 	}
+}
+
+func identity(pes1 []byte) []byte { return pes1 }
+
+// digest builds pm with opts, persists it as PES1, and returns the hex
+// sha256 of output(PES1 bytes).
+func digest(t *testing.T, pm *matrix.PointsTo, opts *core.Options, output func(pes1 []byte) []byte) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := core.Build(pm, opts).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(output(buf.Bytes()))
+	return hex.EncodeToString(sum[:])
 }

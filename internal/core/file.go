@@ -2,12 +2,12 @@ package core
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
-	"pestrie/internal/par"
 	"pestrie/internal/safeio"
 )
 
@@ -92,11 +92,9 @@ func (t *Trie) WriteTo(w io.Writer) (int64, error) {
 	}
 
 	// Bucket rectangles by (shape, case) and sort each bucket by (X1, Y1)
-	// so X1 delta-coding is effective. The eight buckets are disjoint, so
-	// their sorts fan out over the worker pool the Trie was built with.
-	// Each bucket receives the same elements in the same order regardless
-	// of the pool size, and sort.Slice is deterministic for a fixed input,
-	// so the emitted bytes are identical for any worker count.
+	// so X1 delta-coding is effective. Rectangles may share (X1, Y1), so
+	// the bytes also depend on the order among ties: slices.SortFunc is
+	// deterministic for a fixed input, and TestBuildDigests pins it.
 	var buckets [numShapes][2][]Rect
 	for _, r := range t.rects {
 		c := 1
@@ -105,29 +103,15 @@ func (t *Trie) WriteTo(w io.Writer) (int64, error) {
 		}
 		buckets[classify(r)][c] = append(buckets[classify(r)][c], r)
 	}
-	sortBucket := func(i int) {
-		bucket := buckets[i/2][i%2]
-		sort.Slice(bucket, func(i, j int) bool {
-			if bucket[i].X1 != bucket[j].X1 {
-				return bucket[i].X1 < bucket[j].X1
-			}
-			return bucket[i].Y1 < bucket[j].Y1
-		})
-	}
-	if t.workers > 1 {
-		par.Chunks(int(numShapes)*2, t.workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				sortBucket(i)
-			}
-		})
-	} else {
-		for i := 0; i < int(numShapes)*2; i++ {
-			sortBucket(i)
-		}
-	}
 	for s := shapePoint; s < numShapes; s++ {
 		for c := 0; c < 2; c++ {
 			bucket := buckets[s][c]
+			slices.SortFunc(bucket, func(a, b Rect) int {
+				if a.X1 != b.X1 {
+					return cmp.Compare(a.X1, b.X1)
+				}
+				return cmp.Compare(a.Y1, b.Y1)
+			})
 			fw.uvarint(uint64(len(bucket)))
 			prevX := 0
 			for _, r := range bucket {

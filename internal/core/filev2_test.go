@@ -136,22 +136,22 @@ func TestV2RoundTrip(t *testing.T) {
 }
 
 // TestV2Deterministic: the PES2 bytes are identical however the index was
-// produced — sequential or parallel build/decode, or a v1 round trip.
+// produced — sequential or parallel in-memory index assembly, or a v1
+// round trip through the parallel decoder.
 func TestV2Deterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pm := randomPM(rng, 50, 25, 300)
-	t1 := Build(pm, &Options{Workers: 1})
-	t4 := Build(pm, &Options{Workers: 4})
+	trie := Build(pm, nil)
 	var v1 bytes.Buffer
-	if _, err := t1.WriteTo(&v1); err != nil {
+	if _, err := trie.WriteTo(&v1); err != nil {
 		t.Fatal(err)
 	}
 	decoded, err := LoadWith(bytes.NewReader(v1.Bytes()), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := v2Image(t, t1.IndexWith(1))
-	b := v2Image(t, t4.IndexWith(4))
+	a := v2Image(t, trie.IndexWith(1))
+	b := v2Image(t, trie.IndexWith(4))
 	c := v2Image(t, decoded)
 	if !bytes.Equal(a, b) || !bytes.Equal(a, c) {
 		t.Fatalf("PES2 images differ across producers: %d/%d/%d bytes", len(a), len(b), len(c))

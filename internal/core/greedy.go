@@ -29,7 +29,7 @@ func GreedyOrder(pm *matrix.PointsTo) []int {
 	}
 	// Tie-breaking uses hub degree (descending) so the greedy degrades to
 	// the paper's heuristic on ties, then object ID for determinism.
-	hub := pm.HubDegrees()
+	hub := pm.HubDegrees(pmt)
 
 	order := make([]int, 0, m)
 	seen := map[int]int{} // group -> last step touched, reused per candidate

@@ -79,7 +79,7 @@ func TestHubOrderScoresWellOnOPP(t *testing.T) {
 		pm.Add(p, rng.Intn(5)) // popular head objects
 		pm.Add(p, 5+rng.Intn(25))
 	}
-	hub := OPPObjective(PartitionSizes(pm, pm.HubOrder()))
+	hub := OPPObjective(PartitionSizes(pm, pm.HubOrder(pm.Transpose())))
 	total := 0
 	const trials = 10
 	for i := 0; i < trials; i++ {

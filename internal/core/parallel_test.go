@@ -10,47 +10,6 @@ import (
 	"pestrie/internal/matrix"
 )
 
-// TestParallelBuildByteIdentical is the determinism contract of the -j
-// flag: for any matrix and any option combination, the persisted file of a
-// parallel build is byte-for-byte the file of the sequential build. Run
-// under -race this also exercises the parallel transpose, hub order,
-// equivalence hashing and shape-section sorts.
-func TestParallelBuildByteIdentical(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		np, no := 1+rng.Intn(40), 1+rng.Intn(20)
-		pm := randomPM(rng, np, no, rng.Intn(300))
-		order := randomOrder(rng, no)
-		for _, base := range []Options{
-			{},
-			{Order: order},
-			{DisablePruning: true},
-			{MergeEquivalentObjects: true},
-			{Order: order, DisablePruning: true, MergeEquivalentObjects: true},
-		} {
-			seq, par4 := base, base
-			seq.Workers = 1
-			par4.Workers = 4
-			var a, b bytes.Buffer
-			if _, err := Build(pm, &seq).WriteTo(&a); err != nil {
-				return false
-			}
-			if _, err := Build(pm, &par4).WriteTo(&b); err != nil {
-				return false
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Logf("seed %d opts %+v: -j1 and -j4 files differ (%d vs %d bytes)",
-					seed, base, a.Len(), b.Len())
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestParallelDecodeIdentical pins the decode side: LoadWith builds the
 // exact same Index structure for any worker count.
 func TestParallelDecodeIdentical(t *testing.T) {
@@ -93,14 +52,14 @@ func TestIndexWithWorkersIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelBuildMatchesBruteForce double-checks that a parallel build's
-// answers stay correct (not merely self-consistent) on random inputs.
-func TestParallelBuildMatchesBruteForce(t *testing.T) {
+// TestBuildMatchesBruteForce double-checks that a default build's answers
+// stay correct (not merely self-consistent) on random inputs.
+func TestBuildMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		np, no := 1+rng.Intn(25), 1+rng.Intn(12)
 		pm := randomPM(rng, np, no, rng.Intn(120))
-		trie := Build(pm, &Options{Workers: 4})
+		trie := Build(pm, nil)
 		return indexMatches(trie.Index(), pm)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

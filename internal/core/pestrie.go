@@ -26,10 +26,7 @@
 //     IsAlias in O(log n) and the List* queries in output-linear time (§4).
 package core
 
-import (
-	"pestrie/internal/matrix"
-	"pestrie/internal/par"
-)
+import "pestrie/internal/matrix"
 
 // Options configure Pestrie construction.
 type Options struct {
@@ -50,15 +47,6 @@ type Options struct {
 	// creates one origin per object); it is exercised by an ablation
 	// benchmark and is off by default.
 	MergeEquivalentObjects bool
-
-	// Workers sizes the worker pool used by the parallelizable
-	// construction stages (transpose, hub-degree ordering,
-	// equivalence-class hashing, and the shape-section sorts in WriteTo)
-	// and by Index's column assembly. Zero or negative selects GOMAXPROCS;
-	// 1 forces the fully sequential pipeline. Rectangle generation is one
-	// streaming pass whatever the count, and the persisted file is
-	// byte-identical for every worker count.
-	Workers int
 }
 
 // group is a Pestrie node: an equivalent set (ES) of pointers, plus the
@@ -105,8 +93,6 @@ type Trie struct {
 
 	rects []Rect // retained rectangle labels, generation order
 
-	workers int // pool size used by WriteTo/Index; set by Build
-
 	// Stats for the evaluation harness.
 	TreeEdges    int
 	CrossEdges   int
@@ -116,25 +102,25 @@ type Trie struct {
 }
 
 // Build constructs a Pestrie for pm. A nil opts selects the defaults
-// (hub-degree object order, pruning on, no object merging, GOMAXPROCS
-// workers). The output is independent of Options.Workers.
+// (hub-degree object order, pruning on, no object merging). Construction
+// is one serial pass. It reads the pointed-by matrix PMT twice, for the
+// hub degrees and for the partition, so PMT is computed once and shared.
 func Build(pm *matrix.PointsTo, opts *Options) *Trie {
 	if opts == nil {
 		opts = &Options{}
 	}
-	workers := par.Workers(opts.Workers)
+	pmt := pm.Transpose()
 	order := opts.Order
 	if order == nil {
-		order = pm.HubOrderWith(workers)
+		order = pm.HubOrder(pmt)
 	}
 	validateOrder(order, pm.NumObjects)
 
 	t := &Trie{
 		NumPointers: pm.NumPointers,
 		NumObjects:  pm.NumObjects,
-		workers:     workers,
 	}
-	t.partition(pm, order, opts.MergeEquivalentObjects, workers)
+	t.partition(pmt, order, opts.MergeEquivalentObjects)
 	t.assignTimestamps()
 	t.generateRectangles(!opts.DisablePruning)
 	return t

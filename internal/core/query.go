@@ -134,9 +134,9 @@ func LoadWith(r io.Reader, workers int) (*Index, error) {
 	return buildIndex(fc, workers), nil
 }
 
-// Index builds the query structure directly, bypassing file serialization.
-// It inherits the worker pool size the Trie was built with.
-func (t *Trie) Index() *Index { return t.IndexWith(t.workers) }
+// Index builds the query structure directly, bypassing file serialization,
+// with GOMAXPROCS workers as Load does.
+func (t *Trie) Index() *Index { return t.IndexWith(0) }
 
 // IndexWith is Index with an explicit worker count (<= 0 selects
 // GOMAXPROCS, 1 is fully sequential). The result is identical for every

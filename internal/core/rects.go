@@ -37,9 +37,7 @@ func (r Rect) IsHLine() bool { return r.X1 != r.X2 && r.Y1 == r.Y2 }
 // rectangles pairwise disjoint, so the Y ranges of those crossing any one
 // column are disjoint too: keeping each column's ranges sorted by lo, the
 // corner (X1, Y1) is covered iff the floor entry of column X1 contains Y1,
-// the same search queries run on a decoded index (entryCovering). Origins
-// stream through one at a time, so the output is independent of the
-// worker count.
+// the same search queries run on a decoded index (entryCovering).
 func (t *Trie) generateRectangles(prune bool) {
 	if t.NumGroups == 0 {
 		return

@@ -52,7 +52,7 @@ func ablationOne(pm *matrix.PointsTo, name string) AblationRow {
 	row := AblationRow{Name: name}
 
 	// Hub metric.
-	hits := core.Build(pm, &core.Options{Order: matrix.OrderByDegree(pm.HubDegrees())})
+	hits := core.Build(pm, &core.Options{Order: pm.HubOrder(pm.Transpose())})
 	naiveDeg := make([]float64, pm.NumObjects)
 	for o, c := range pm.PointedByCounts() {
 		naiveDeg[o] = float64(c)

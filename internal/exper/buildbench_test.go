@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// TestBuildBenchHostFacts: every row records the host it ran on, and a
-// parallel speedup is null exactly when the run had fewer cores than
+// TestBuildBenchHostFacts: every row records the host it ran on, and the
+// decode speedup is null exactly when the run had fewer cores than
 // workers, both in the row and in the JSON written to BENCH_build.json.
 func TestBuildBenchHostFacts(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
@@ -22,19 +22,17 @@ func TestBuildBenchHostFacts(t *testing.T) {
 			t.Fatalf("-j%d: host facts not set: %+v", workers, r)
 		}
 		wantNull := procs < workers
-		if (r.BuildSpeedup == nil) != wantNull || (r.DecodeSpeedup == nil) != wantNull {
-			t.Fatalf("-j%d on GOMAXPROCS=%d: build/decode speedup null = %v/%v, want %v",
-				workers, procs, r.BuildSpeedup == nil, r.DecodeSpeedup == nil, wantNull)
+		if (r.DecodeSpeedup == nil) != wantNull {
+			t.Fatalf("-j%d on GOMAXPROCS=%d: decode speedup null = %v, want %v",
+				workers, procs, r.DecodeSpeedup == nil, wantNull)
 		}
 		var buf bytes.Buffer
 		if err := WriteBuildBenchJSON(&buf, rows); err != nil {
 			t.Fatal(err)
 		}
 		js := buf.String()
-		for _, field := range []string{`"build_speedup": null`, `"decode_speedup": null`} {
-			if strings.Contains(js, field) != wantNull {
-				t.Errorf("-j%d: JSON contains %s: %v, want %v", workers, field, !wantNull, wantNull)
-			}
+		if field := `"decode_speedup": null`; strings.Contains(js, field) != wantNull {
+			t.Errorf("-j%d: JSON contains %s: %v, want %v", workers, field, !wantNull, wantNull)
 		}
 		if !strings.Contains(RenderBuildBench(rows), "antlr") {
 			t.Errorf("-j%d: render missing the row", workers)

@@ -23,7 +23,7 @@ func TestCrossVersionV1V2(t *testing.T) {
 		t.Run(preset.Name, func(t *testing.T) {
 			t.Parallel()
 			pm := preset.Generate(scale)
-			trie := core.Build(pm, &core.Options{Workers: 4})
+			trie := core.Build(pm, nil)
 
 			var v1 bytes.Buffer
 			if _, err := trie.WriteTo(&v1); err != nil {

@@ -50,9 +50,8 @@ func equalInts(a, b []int) bool {
 
 // TestDifferentialBackends cross-checks all four Table-1 queries, as sets
 // and with no duplicates, across every query backend on every synth
-// preset: the Pestrie index with pruning on and off, built sequentially
-// and through the worker pool (the parallel variant additionally
-// round-trips through the persisted file and the parallel decoder), the
+// preset: the Pestrie index with pruning on and off, built in memory and
+// round-tripped through the persisted file and the parallel decoder, the
 // BitP encoding, and the demand-driven oracle.
 func TestDifferentialBackends(t *testing.T) {
 	const scale = 0.002
@@ -62,12 +61,9 @@ func TestDifferentialBackends(t *testing.T) {
 			t.Parallel()
 			pm := preset.Generate(scale)
 
-			mkIndex := func(opts *core.Options) *core.Index {
-				return core.Build(pm, opts).Index()
-			}
-			// The -jN variant exercises the full persistence pipeline:
-			// parallel build, encode, parallel decode.
-			trie := core.Build(pm, &core.Options{Workers: 4})
+			// The roundtrip variant exercises the full persistence
+			// pipeline: build, encode, parallel decode.
+			trie := core.Build(pm, nil)
 			var buf bytes.Buffer
 			if _, err := trie.WriteTo(&buf); err != nil {
 				t.Fatal(err)
@@ -78,10 +74,9 @@ func TestDifferentialBackends(t *testing.T) {
 			}
 
 			backends := []backend{
-				{"pes-j1", mkIndex(&core.Options{Workers: 1})},
-				{"pes-jN-roundtrip", decoded},
-				{"pes-noprune-j1", mkIndex(&core.Options{Workers: 1, DisablePruning: true})},
-				{"pes-noprune-jN", mkIndex(&core.Options{Workers: 4, DisablePruning: true})},
+				{"pes", trie.Index()},
+				{"pes-roundtrip", decoded},
+				{"pes-noprune", core.Build(pm, &core.Options{DisablePruning: true}).Index()},
 				{"bitenc", bitenc.Encode(pm)},
 				{"demand", demand.New(pm)},
 			}

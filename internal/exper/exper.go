@@ -26,7 +26,7 @@ type Options struct {
 	// query workloads (≤0 picks one that keeps all-pairs IsAlias around a
 	// million pair queries).
 	BaseStride int
-	// Workers sizes the worker pool for the parallel construction/decode
+	// Workers sizes the worker pool for the parallel decode and solve
 	// columns (≤0 picks GOMAXPROCS). The serial columns always run with a
 	// single worker; outputs are identical either way, only times differ.
 	Workers int

@@ -24,10 +24,9 @@ type Table8Row struct {
 	SizeBDD  int64 // 0 when skipped (per the paper, only Dacapo-2006)
 	SizeBzip int64
 
-	BuildPesP    time.Duration // sequential construction (-j 1)
-	BuildPesPPar time.Duration // parallel construction (-j N); identical output
-	BuildBitP    time.Duration
-	BuildBzip    time.Duration
+	BuildPesP time.Duration
+	BuildBitP time.Duration
+	BuildBzip time.Duration
 }
 
 // Table8 regenerates the storage/construction table. bzip compresses the
@@ -45,15 +44,9 @@ func table8One(w workload) Table8Row {
 	row := Table8Row{Name: w.preset.Name}
 
 	start := time.Now()
-	trie := core.Build(w.pm, &core.Options{Workers: 1})
+	trie := core.Build(w.pm, nil)
 	row.SizePesP = trie.EncodedSize()
 	row.BuildPesP = time.Since(start)
-
-	// Same construction over the worker pool; the Trie (and its encoding)
-	// is byte-identical, so only the time is recorded.
-	start = time.Now()
-	core.Build(w.pm, &core.Options{Workers: w.workers})
-	row.BuildPesPPar = time.Since(start)
 
 	start = time.Now()
 	be := bitenc.Encode(w.pm)
@@ -89,17 +82,17 @@ func table8One(w workload) Table8Row {
 func RenderTable8(rows []Table8Row) string {
 	var b bytes.Buffer
 	fmt.Fprintln(&b, "Table 8: encoding size and construction time")
-	fmt.Fprintf(&b, "%-12s | %10s %10s %10s %10s | %10s %10s %10s %10s\n",
-		"program", "pes", "bit", "bdd", "bzip", "t-pes", "t-pes-j", "t-bit", "t-bzip")
+	fmt.Fprintf(&b, "%-12s | %10s %10s %10s %10s | %10s %10s %10s\n",
+		"program", "pes", "bit", "bdd", "bzip", "t-pes", "t-bit", "t-bzip")
 	for _, r := range rows {
 		bddCol := "-"
 		if r.SizeBDD > 0 {
 			bddCol = fmt.Sprintf("%.1fK", kib(r.SizeBDD))
 		}
-		fmt.Fprintf(&b, "%-12s | %9.1fK %9.1fK %10s %9.1fK | %8.1fms %8.1fms %8.1fms %8.1fms\n",
+		fmt.Fprintf(&b, "%-12s | %9.1fK %9.1fK %10s %9.1fK | %8.1fms %8.1fms %8.1fms\n",
 			r.Name,
 			kib(r.SizePesP), kib(r.SizeBitP), bddCol, kib(r.SizeBzip),
-			ms(r.BuildPesP), ms(r.BuildPesPPar), ms(r.BuildBitP), ms(r.BuildBzip))
+			ms(r.BuildPesP), ms(r.BuildBitP), ms(r.BuildBzip))
 	}
 	if len(rows) > 0 {
 		gBit := geomean(rows, func(r Table8Row) (float64, float64) {

@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"pestrie/internal/bitset"
-	"pestrie/internal/par"
 )
 
 // PointsTo is a points-to matrix over NumPointers pointers and NumObjects
@@ -127,68 +126,17 @@ func (pm *PointsTo) Grown(pointers, objects int) *PointsTo {
 
 // Transpose computes the pointed-by matrix PMT: rows index objects, and the
 // members of row o are the pointers that may point to o.
-func (pm *PointsTo) Transpose() *PointsTo { return pm.TransposeWith(1) }
-
-// TransposeWith is Transpose fanned out over a worker pool (workers <= 0
-// selects GOMAXPROCS, 1 is sequential). The result is identical to the
-// sequential transpose for any worker count: workers build partial
-// transposes over disjoint pointer chunks, then disjoint object shards
-// merge them in chunk order, and both bitset substrates compare sets
-// canonically, so the merged rows are equal no matter how they were built.
-func (pm *PointsTo) TransposeWith(workers int) *PointsTo {
-	workers = par.Workers(workers)
-	if workers <= 1 || pm.NumPointers == 0 {
-		out := New(pm.NumObjects, pm.NumPointers)
-		for p, r := range pm.rows {
-			if r == nil {
-				continue
-			}
-			r.ForEach(func(o int) bool {
-				out.Add(o, p)
-				return true
-			})
-		}
-		return out
-	}
-	// Phase 1: one partial transpose per contiguous pointer chunk. Each
-	// worker owns its partial outright, so no locks are needed.
-	bounds := par.ChunkBounds(pm.NumPointers, workers)
-	parts := make([]*PointsTo, len(bounds)-1)
-	par.Do(len(parts), func(w int) {
-		part := New(pm.NumObjects, pm.NumPointers)
-		for p := bounds[w]; p < bounds[w+1]; p++ {
-			r := pm.rows[p]
-			if r == nil {
-				continue
-			}
-			r.ForEach(func(o int) bool {
-				part.Add(o, p)
-				return true
-			})
-		}
-		parts[w] = part
-	})
-	// Phase 2: merge per object shard. Pointer IDs in chunk w all precede
-	// those in chunk w+1, but the union is a set either way — Or yields the
-	// same canonical block list regardless of merge order.
+func (pm *PointsTo) Transpose() *PointsTo {
 	out := New(pm.NumObjects, pm.NumPointers)
-	par.Chunks(pm.NumObjects, workers, func(lo, hi int) {
-		for o := lo; o < hi; o++ {
-			var row bitset.Set
-			for _, part := range parts {
-				pr := part.rows[o]
-				if pr == nil || pr.Empty() {
-					continue
-				}
-				if row == nil {
-					row = pr // take ownership of the first partial row
-				} else {
-					row.Or(pr)
-				}
-			}
-			out.rows[o] = row
+	for p, r := range pm.rows {
+		if r == nil {
+			continue
 		}
-	})
+		r.ForEach(func(o int) bool {
+			out.Add(o, p)
+			return true
+		})
+	}
 	return out
 }
 
@@ -223,35 +171,25 @@ func (pm *PointsTo) AliasMatrixWith(pmt *PointsTo) *PointsTo {
 //	H_o = sqrt( Σ_{p ∈ PMT[o]} |PM[p]|² )
 //
 // which is the two-round HITS hub score over the points-to bipartite graph.
-// The precomputed transpose avoids rescanning PM per object.
-func (pm *PointsTo) HubDegrees() []float64 { return pm.HubDegreesWith(1) }
-
-// HubDegreesWith is HubDegrees over a worker pool (workers <= 0 selects
-// GOMAXPROCS, 1 is sequential). Per-object sums accumulate in the same
-// ascending-pointer order as the sequential loop, so the floating-point
-// results are bit-identical for any worker count.
-func (pm *PointsTo) HubDegreesWith(workers int) []float64 {
+// pmt is pm's transpose, which callers that need it for more than the
+// degrees compute once and pass in, as for AliasMatrixWith.
+func (pm *PointsTo) HubDegrees(pmt *PointsTo) []float64 {
 	sizes := make([]int, pm.NumPointers)
-	par.Chunks(pm.NumPointers, par.Workers(workers), func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			if r := pm.rows[p]; r != nil {
-				sizes[p] = r.Count()
-			}
+	for p, r := range pm.rows {
+		if r != nil {
+			sizes[p] = r.Count()
 		}
-	})
-	pmt := pm.TransposeWith(workers)
+	}
 	out := make([]float64, pm.NumObjects)
-	par.Chunks(pm.NumObjects, par.Workers(workers), func(lo, hi int) {
-		for o := lo; o < hi; o++ {
-			var sum float64
-			pmt.Row(o).ForEach(func(p int) bool {
-				s := float64(sizes[p])
-				sum += s * s
-				return true
-			})
-			out[o] = math.Sqrt(sum)
-		}
-	})
+	for o := range out {
+		var sum float64
+		pmt.Row(o).ForEach(func(p int) bool {
+			s := float64(sizes[p])
+			sum += s * s
+			return true
+		})
+		out[o] = math.Sqrt(sum)
+	}
 	return out
 }
 
@@ -274,15 +212,9 @@ func (pm *PointsTo) PointedByCounts() []int {
 
 // HubOrder returns the objects sorted by descending hub degree — the object
 // order the heuristic of §5.2 uses to construct Pestrie. Ties break by
-// object ID for determinism.
-func (pm *PointsTo) HubOrder() []int {
-	return OrderByDegree(pm.HubDegrees())
-}
-
-// HubOrderWith is HubOrder with the degree computation fanned out over a
-// worker pool; the resulting order is identical for any worker count.
-func (pm *PointsTo) HubOrderWith(workers int) []int {
-	return OrderByDegree(pm.HubDegreesWith(workers))
+// object ID for determinism. pmt is pm's transpose, as for HubDegrees.
+func (pm *PointsTo) HubOrder(pmt *PointsTo) []int {
+	return OrderByDegree(pm.HubDegrees(pmt))
 }
 
 // OrderByDegree sorts object IDs by descending degree, breaking ties by ID.
@@ -305,38 +237,21 @@ func OrderByDegree(deg []float64) []int {
 // It returns, for each pointer, the ID of its class, plus the number of
 // classes. Pointers with empty points-to sets share class 0 if any exist.
 func (pm *PointsTo) EquivalenceClasses() (classOf []int, numClasses int) {
-	return classesOf(pm.rows, pm.NumPointers, 1)
-}
-
-// EquivalenceClassesWith is EquivalenceClasses with the per-row content
-// hashing fanned out over a worker pool; class assignment itself stays
-// sequential, so class IDs are identical for any worker count.
-func (pm *PointsTo) EquivalenceClassesWith(workers int) (classOf []int, numClasses int) {
-	return classesOf(pm.rows, pm.NumPointers, workers)
+	return classesOf(pm.rows, pm.NumPointers)
 }
 
 // ObjectEquivalenceClasses groups objects pointed to by identical pointer
 // sets (§2.1: "two objects are considered equivalent if they are pointed by
-// the same set of pointers").
+// the same set of pointers"). These are the EquivalenceClasses of the
+// transpose, which a caller that already holds it can ask directly.
 func (pm *PointsTo) ObjectEquivalenceClasses() (classOf []int, numClasses int) {
-	pmt := pm.Transpose()
-	return classesOf(pmt.rows, pmt.NumPointers, 1)
+	return pm.Transpose().EquivalenceClasses()
 }
 
-func classesOf(rows []bitset.Set, n, workers int) ([]int, int) {
-	// Hashing scans every block of every row — the dominant cost — and is
-	// side-effect free, so it parallelizes cleanly; the bucket walk below
-	// keeps the sequential first-seen class numbering.
-	hashes := make([]uint64, n)
-	par.Chunks(n, par.Workers(workers), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := rows[i]
-			if row == nil {
-				row = emptyRow
-			}
-			hashes[i] = row.Hash()
-		}
-	})
+// classesOf numbers rows by first occurrence of their content: rows are
+// bucketed by hash, and a row joins the class of the first equal
+// representative in its bucket.
+func classesOf(rows []bitset.Set, n int) ([]int, int) {
 	classOf := make([]int, n)
 	buckets := make(map[uint64][]int) // hash -> representative row indices
 	next := 0
@@ -345,7 +260,7 @@ func classesOf(rows []bitset.Set, n, workers int) ([]int, int) {
 		if row == nil {
 			row = emptyRow
 		}
-		h := hashes[i]
+		h := row.Hash()
 		found := -1
 		for _, rep := range buckets[h] {
 			repRow := rows[rep]

@@ -88,6 +88,27 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
+// TestTransposeEmptyAndEdgeCases covers degenerate shapes: no pointers, no
+// objects, a single cell, and more objects than pointers.
+func TestTransposeEmptyAndEdgeCases(t *testing.T) {
+	for _, dims := range [][2]int{{0, 0}, {0, 5}, {5, 0}, {1, 1}, {2, 7}} {
+		pm := New(dims[0], dims[1])
+		if dims[0] > 0 && dims[1] > 0 {
+			pm.Add(0, 0)
+		}
+		pmt := pm.Transpose()
+		if pmt.NumPointers != dims[1] || pmt.NumObjects != dims[0] {
+			t.Fatalf("dims %v: transpose is %d×%d", dims, pmt.NumPointers, pmt.NumObjects)
+		}
+		if pmt.Edges() != pm.Edges() || pmt.Has(0, 0) != pm.Has(0, 0) {
+			t.Fatalf("dims %v: transpose facts differ", dims)
+		}
+		if !pm.Equal(pmt.Transpose()) {
+			t.Fatalf("dims %v: double transpose != identity", dims)
+		}
+	}
+}
+
 func TestAliasMatrix(t *testing.T) {
 	pm := paperPM()
 	am := pm.AliasMatrix()
@@ -122,7 +143,8 @@ func TestAliasMatrix(t *testing.T) {
 
 func TestHubDegrees(t *testing.T) {
 	pm := paperPM()
-	deg := pm.HubDegrees()
+	pmt := pm.Transpose()
+	deg := pm.HubDegrees(pmt)
 	// |PM| sizes: p1=2 p2=1 p3=4 p4=4 p5=1 p6=1 p7=2.
 	// H_o1 = sqrt(2²+1²+4²+4²) = sqrt(37).
 	wants := []float64{
@@ -139,7 +161,7 @@ func TestHubDegrees(t *testing.T) {
 	}
 	// By Definition 1 the order is o1 (√37), o3 (√36), o2 (√33), o5 (√24),
 	// o4 (√17). (The paper's §3.1 walkthrough uses o1..o5 for exposition.)
-	order := pm.HubOrder()
+	order := pm.HubOrder(pmt)
 	want := []int{0, 2, 1, 4, 3}
 	for i := range want {
 		if order[i] != want[i] {

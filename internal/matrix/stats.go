@@ -41,15 +41,16 @@ func Characterize(pm *PointsTo, threshold float64) Characteristics {
 		Threshold:    threshold,
 		HubQuantiles: make(map[float64]float64),
 	}
+	pmt := pm.Transpose()
 	_, c.PointerClasses = pm.EquivalenceClasses()
-	_, c.ObjectClasses = pm.ObjectEquivalenceClasses()
+	_, c.ObjectClasses = pmt.EquivalenceClasses()
 	if c.Pointers > 0 {
 		c.PointerRatio = float64(c.PointerClasses) / float64(c.Pointers)
 	}
 	if c.Objects > 0 {
 		c.ObjectRatio = float64(c.ObjectClasses) / float64(c.Objects)
 	}
-	deg := pm.HubDegrees()
+	deg := pm.HubDegrees(pmt)
 	if len(deg) == 0 {
 		return c
 	}

@@ -22,8 +22,7 @@ func buildRandom(seed int64, pointers, objects int) *PointsTo {
 
 // TestSubstrateByteIdentity pins that every derived structure — persisted
 // bytes, equivalence classes, hub degrees, transpose, alias matrix — is
-// identical whether rows live on the flat or the linked substrate, for any
-// worker count.
+// identical whether rows live on the flat or the linked substrate.
 func TestSubstrateByteIdentity(t *testing.T) {
 	defer bitset.Use(bitset.FlatSubstrate)
 	for seed := int64(0); seed < 4; seed++ {
@@ -47,20 +46,17 @@ func TestSubstrateByteIdentity(t *testing.T) {
 			t.Fatal("persisted PTM1 bytes differ between substrates")
 		}
 
-		for _, workers := range []int{1, 4} {
-			fc, fn := flat.EquivalenceClassesWith(workers)
-			lc, ln := linked.EquivalenceClassesWith(workers)
-			if fn != ln || !slices.Equal(fc, lc) {
-				t.Fatalf("equivalence classes diverge across substrates (workers=%d)", workers)
-			}
-			fd := flat.HubDegreesWith(workers)
-			ld := linked.HubDegreesWith(workers)
-			if !slices.Equal(fd, ld) {
-				t.Fatalf("hub degrees diverge across substrates (workers=%d)", workers)
-			}
-			if !flat.TransposeWith(workers).Equal(linked.TransposeWith(workers)) {
-				t.Fatalf("transposes diverge across substrates (workers=%d)", workers)
-			}
+		fc, fn := flat.EquivalenceClasses()
+		lc, ln := linked.EquivalenceClasses()
+		if fn != ln || !slices.Equal(fc, lc) {
+			t.Fatal("equivalence classes diverge across substrates")
+		}
+		flatT, linkedT := flat.Transpose(), linked.Transpose()
+		if !flatT.Equal(linkedT) {
+			t.Fatal("transposes diverge across substrates")
+		}
+		if !slices.Equal(flat.HubDegrees(flatT), linked.HubDegrees(linkedT)) {
+			t.Fatal("hub degrees diverge across substrates")
 		}
 		if !flat.AliasMatrix().Equal(linked.AliasMatrix()) {
 			t.Fatal("alias matrices diverge across substrates")

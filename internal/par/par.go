@@ -1,5 +1,6 @@
 // Package par is the small worker-pool substrate shared by the parallel
-// Pestrie construction and decode paths (internal/core, internal/matrix).
+// Pestrie decode (internal/core) and the solver's deref scan
+// (internal/anders).
 // Every helper is deterministic by construction: work is split into
 // contiguous chunks whose boundaries depend only on (n, workers), each
 // chunk writes to a disjoint region chosen by the caller, and the helpers

@@ -21,7 +21,7 @@ type EditConfig struct {
 	EditsPerStep int
 
 	// AddFrac is the fraction of edits that add a fact rather than remove
-	// one (outside [0,1]: 0.7 — programs mostly grow).
+	// one (<= 0 or > 1: 0.7 — programs mostly grow).
 	AddFrac float64
 
 	// GrowEvery appends fresh pointers and objects every GrowEvery-th step
@@ -44,7 +44,7 @@ func (cfg *EditConfig) withDefaults() EditConfig {
 	if out.EditsPerStep <= 0 {
 		out.EditsPerStep = 64
 	}
-	if out.AddFrac < 0 || out.AddFrac > 1 {
+	if out.AddFrac <= 0 || out.AddFrac > 1 {
 		out.AddFrac = 0.7
 	}
 	if out.GrowPointers <= 0 {

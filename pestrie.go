@@ -88,10 +88,9 @@ type Index = core.Index
 // defaults (hub-degree object order, Theorem-2 pruning on).
 type BuildOptions = core.Options
 
-// Build constructs a Pestrie for the matrix. Construction fans out over
-// BuildOptions.Workers goroutines (GOMAXPROCS when zero); the resulting
-// Trie — and the file WriteTo emits — is byte-identical for every worker
-// count.
+// Build constructs a Pestrie for the matrix in one serial pass; the same
+// matrix and options always give the same Trie, and the same file from
+// WriteTo.
 func Build(pm *Matrix, opts *BuildOptions) *Trie { return core.Build(pm, opts) }
 
 // Load decodes a persistent Pestrie file into a query index, building the
@@ -207,7 +206,7 @@ type AnalysisResult = anders.Result
 func ParseProgram(r io.Reader) (*Program, error) { return ir.Parse(r) }
 
 // AnalysisOptions configure the Andersen engine: clone depth, worker
-// count for the parallel wave-propagation phase, and the HVN ablation
+// count for the solver's parallel deref scan, and the HVN ablation
 // switch. The result is identical for every worker count.
 type AnalysisOptions = anders.Options
 
@@ -218,7 +217,7 @@ func Analyze(prog *Program, cloneDepth int) (*AnalysisResult, error) {
 }
 
 // AnalyzeWith runs the analysis with full engine options, including the
-// `-j` worker count of the wave-propagation solver.
+// `-j` worker count of the solver's deref scan.
 func AnalyzeWith(prog *Program, opts AnalysisOptions) (*AnalysisResult, error) {
 	return anders.Analyze(prog, &opts)
 }
