@@ -14,9 +14,9 @@
 // only when named — it measures the constraint engine, not a paper
 // table). The build experiment measures construction and -j1 vs -jN
 // decode (see internal/exper's BuildBench); the anders experiment
-// measures constraint solving across worker counts and the HVN ablation
-// over the program presets (`ptagen list`). -j sizes the pools and -json
-// additionally writes the experiment's rows as JSON.
+// measures constraint solving at -j1 and -jN over the program presets
+// (`ptagen list`). -j sizes the pools and -json additionally writes the
+// experiment's rows as JSON.
 package main
 
 import (

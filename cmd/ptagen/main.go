@@ -153,7 +153,6 @@ func analyze(args []string) error {
 	irPath := fs.String("ir", "", "pointer-IR source file")
 	clone := fs.Int("clone", 0, "k-callsite cloning depth (0 = context-insensitive)")
 	workers := fs.Int("j", 0, "solver worker count (0 = GOMAXPROCS); the matrix is identical for any value")
-	noHVN := fs.Bool("no-hvn", false, "skip the offline HVN substitution pass (ablation; same matrix)")
 	out := fs.String("out", "", "output matrix file (.ptm)")
 	names := fs.String("names", "", "optional output file mapping IDs to IR names")
 	fs.Parse(args)
@@ -175,15 +174,15 @@ func analyze(args []string) error {
 	var res *pestrie.AnalysisResult
 	dur := perf.Time(func() {
 		res, err = pestrie.AnalyzeWith(prog, pestrie.AnalysisOptions{
-			CloneDepth: *clone, Workers: *workers, DisableHVN: *noHVN,
+			CloneDepth: *clone, Workers: *workers,
 		})
 	})
 	if err != nil {
 		return err
 	}
 	st := res.Stats
-	fmt.Printf("analyzed %d statements in %s (-j%d): %d constraints over %d vars, HVN merged %d, cycles merged %d, %d rounds\n",
-		prog.NumStmts(), dur, st.Workers, st.Constraints, st.Vars, st.HVNMerged, st.CycleMerged, st.Rounds)
+	fmt.Printf("analyzed %d statements in %s (-j%d): %d constraints over %d vars, cycles merged %d, %d rounds\n",
+		prog.NumStmts(), dur, st.Workers, st.Constraints, st.Vars, st.CycleMerged, st.Rounds)
 	if *names != "" {
 		if err := writeNames(res, *names); err != nil {
 			return err

@@ -4,17 +4,14 @@
 // exporters. Its output is the normalized points-to matrix of §2, ready for
 // any of the persistence encoders.
 //
-// The engine runs in three stages:
+// The engine runs in two stages, both in wave.go:
 //
-//  1. Offline HVN substitution (hvn.go): before any propagation, variables
-//     that are provably pointer-equivalent — same base objects flowing in
-//     through the same copy structure — are merged into one solver node, so
-//     duplicate propagation work is never performed at all.
-//  2. Online cycle collapsing (wave.go): copy cycles that only materialize
-//     during solving (through loads and stores) are detected each round with
-//     Tarjan's algorithm and collapsed into a single representative via
-//     union-find, in the style of Nuutila/lazy cycle elimination.
-//  3. Wave propagation (wave.go): the condensed copy graph is topologically
+//  1. Online cycle collapsing: copy cycles, including those that only
+//     materialize during solving (through loads and stores), are detected
+//     each round with Tarjan's algorithm and collapsed into a single
+//     representative via union-find, in the style of Nuutila/lazy cycle
+//     elimination.
+//  2. Wave propagation: the condensed copy graph is topologically
 //     levelized and point-to deltas are pulled level by level; each round
 //     then scans the loads and stores over an internal/par worker pool to
 //     add the copy edges their new points-to members imply. The computed
@@ -31,7 +28,8 @@ package anders
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"pestrie/internal/bitset"
 	"pestrie/internal/ir"
@@ -48,8 +46,8 @@ type Result struct {
 	PointerNames []string
 	ObjectNames  []string
 
-	// Stats describes the solved constraint system and what the engine's
-	// reduction passes achieved on it.
+	// Stats describes the solved constraint system and what cycle
+	// collapsing achieved on it.
 	Stats Stats
 
 	pointerIdx map[string]int
@@ -66,9 +64,6 @@ type Stats struct {
 	// Constraints counts base, copy, load, and store constraints collected
 	// from the (possibly cloned) program.
 	Constraints int
-	// HVNMerged counts variables merged away by the offline HVN
-	// substitution pass.
-	HVNMerged int
 	// CycleMerged counts variables merged by online copy-cycle collapsing.
 	CycleMerged int
 	// Rounds counts wave-propagation rounds to fixpoint.
@@ -106,11 +101,6 @@ type Options struct {
 	// selects GOMAXPROCS, 1 solves strictly sequentially. The resulting
 	// matrix and name tables are identical for every worker count.
 	Workers int
-
-	// DisableHVN skips the offline HVN substitution pass. The result is
-	// identical either way; the flag exists for ablation benchmarks and
-	// debugging.
-	DisableHVN bool
 }
 
 // nodeID is a solver variable (a pointer).
@@ -169,15 +159,9 @@ func Analyze(prog *ir.Program, opts *Options) (*Result, error) {
 		Constraints: len(s.base) + len(s.copyC) + len(s.loadC) + len(s.storeC),
 		Workers:     par.Workers(opts.Workers),
 	}
-	uf := newUnionFind(len(s.varName))
-	if !opts.DisableHVN {
-		s.hvn(uf)
-	}
-	stats.HVNMerged = len(s.varName) - uf.reps()
-
-	w := newWaveSolver(s, uf, stats.Workers)
+	w := newWaveSolver(s, stats.Workers)
 	w.solve()
-	stats.CycleMerged = len(s.varName) - uf.reps() - stats.HVNMerged
+	stats.CycleMerged = stats.Vars - w.uf.reps()
 	stats.Rounds = w.rounds
 
 	return s.result(w, stats), nil
@@ -299,7 +283,7 @@ func (s *solver) result(w *waveSolver, stats Stats) *Result {
 			order = append(order, nodeID(v))
 		}
 	}
-	sort.Slice(order, func(a, b int) bool { return s.varName[order[a]] < s.varName[order[b]] })
+	slices.SortFunc(order, func(a, b nodeID) int { return strings.Compare(s.varName[a], s.varName[b]) })
 
 	res := &Result{
 		PM:         matrix.New(len(order), len(s.objName)),

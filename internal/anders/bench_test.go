@@ -34,8 +34,8 @@ func BenchmarkAnalyzeCloneDepth1(b *testing.B) {
 }
 
 // BenchmarkSolvePreset measures the engine on the named program presets
-// across worker counts and with the HVN pass ablated; `benchtables -table
-// anders` reports the same grid with derived metrics.
+// across worker counts; `benchtables -table anders` reports the same grid
+// with derived metrics.
 func BenchmarkSolvePreset(b *testing.B) {
 	for _, name := range []string{"anders-base", "anders-chain", "anders-web"} {
 		prog := presetProgram(b, name)
@@ -45,7 +45,6 @@ func BenchmarkSolvePreset(b *testing.B) {
 		}{
 			{"j1", Options{Workers: 1}},
 			{"j4", Options{Workers: 4}},
-			{"j1-nohvn", Options{Workers: 1, DisableHVN: true}},
 		} {
 			b.Run(name+"/"+cfg.tag, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -10,12 +10,12 @@ import (
 // TestSubstrateInvariance pins the tentpole guarantee of the bit-set
 // refactor: solving on the flat substrate and on the linked paper baseline
 // produces identical matrices, name tables, and persisted bytes, for
-// serial and parallel solves, with and without HVN.
+// serial and parallel solves.
 func TestSubstrateInvariance(t *testing.T) {
 	defer bitset.Use(bitset.FlatSubstrate)
 	for _, name := range []string{"anders-base", "anders-chain", "anders-web"} {
 		prog := presetProgram(t, name)
-		for _, o := range []Options{{}, {Workers: 4}, {DisableHVN: true}} {
+		for _, o := range []Options{{}, {Workers: 4}} {
 			bitset.Use(bitset.FlatSubstrate)
 			flat := mustAnalyze(t, prog, o)
 			bitset.Use(bitset.LinkedSubstrate)

@@ -32,7 +32,7 @@ package anders
 // value from the constraint system, never from goroutine timing.
 
 import (
-	"sort"
+	"slices"
 
 	"pestrie/internal/bitset"
 	"pestrie/internal/par"
@@ -72,11 +72,11 @@ type waveSolver struct {
 	predsNew [][]nodeID // reverse of newSucc
 }
 
-func newWaveSolver(s *solver, uf *unionFind, workers int) *waveSolver {
+func newWaveSolver(s *solver, workers int) *waveSolver {
 	n := len(s.varName)
 	w := &waveSolver{
 		s:         s,
-		uf:        uf,
+		uf:        newUnionFind(n),
 		workers:   workers,
 		pts:       make([]bitset.Set, n),
 		done:      make([]bitset.Set, n),
@@ -89,30 +89,25 @@ func newWaveSolver(s *solver, uf *unionFind, workers int) *waveSolver {
 		loads:     make([][]nodeID, n),
 		stores:    make([][]nodeID, n),
 	}
+	// Nothing is merged before the first round's collapse, so every node
+	// is its own representative and the constraints index the lists as
+	// collected.
 	for v := 0; v < n; v++ {
-		if uf.find(nodeID(v)) == nodeID(v) {
-			w.pts[v] = bitset.New()
-			w.done[v] = bitset.New()
-			w.derefDone[v] = bitset.New()
-		}
+		w.pts[v] = bitset.New()
+		w.done[v] = bitset.New()
+		w.derefDone[v] = bitset.New()
 	}
-	// Canonicalize the collected constraints through whatever HVN merged.
 	for _, b := range s.base {
-		w.pts[uf.find(nodeID(b[0]))].Set(b[1])
+		w.pts[b[0]].Set(b[1])
 	}
 	for _, e := range s.copyC {
-		u, v := uf.find(e[0]), uf.find(e[1])
-		if u != v {
-			w.succ[u] = append(w.succ[u], v)
-		}
+		w.succ[e[0]] = append(w.succ[e[0]], e[1])
 	}
 	for _, e := range s.loadC {
-		src := uf.find(e[0])
-		w.loads[src] = append(w.loads[src], uf.find(e[1]))
+		w.loads[e[0]] = append(w.loads[e[0]], e[1])
 	}
 	for _, e := range s.storeC {
-		dst := uf.find(e[0])
-		w.stores[dst] = append(w.stores[dst], uf.find(e[1]))
+		w.stores[e[0]] = append(w.stores[e[0]], e[1])
 	}
 	for v := 0; v < n; v++ {
 		w.succ[v] = sortDedup(w.succ[v])
@@ -149,7 +144,7 @@ func (w *waveSolver) activeReps() []nodeID { return w.active }
 // under-approximates what every merged member already handled, so anything
 // uncertain is simply re-propagated, never skipped.
 func (w *waveSolver) collapse() {
-	sccs := tarjanSCC(len(w.succ), w.succ)
+	sccs := tarjanSCC(w.succ)
 	merged := false
 	for _, scc := range sccs {
 		if len(scc) <= 1 {
@@ -215,7 +210,7 @@ func sortDedup(list []nodeID) []nodeID {
 	if len(list) < 2 {
 		return list
 	}
-	sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+	slices.Sort(list)
 	out := list[:1]
 	for _, t := range list[1:] {
 		if t != out[len(out)-1] {
@@ -356,7 +351,7 @@ func (w *waveSolver) addDerefEdges() bool {
 	chunkTargets := make([][]bitset.Set, len(bounds)-1)
 	chunkTouched := make([][]nodeID, len(bounds)-1)
 	scan := func(lo, hi int) {
-		ci := sort.SearchInts(bounds, lo)
+		ci, _ := slices.BinarySearch(bounds, lo)
 		targets := make([]bitset.Set, n)
 		var touched []nodeID
 		for _, v := range deref[lo:hi] {
@@ -458,4 +453,115 @@ func mergeSorted(a, b []nodeID) []nodeID {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
+}
+
+// unionFind tracks merged solver nodes. The representative of a class is
+// always its minimum member ID, so merge results are independent of merge
+// order — part of the engine's determinism guarantee.
+type unionFind struct {
+	parent []nodeID
+	nreps  int
+}
+
+func newUnionFind(n int) *unionFind {
+	uf := &unionFind{parent: make([]nodeID, n), nreps: n}
+	for i := range uf.parent {
+		uf.parent[i] = nodeID(i)
+	}
+	return uf
+}
+
+func (u *unionFind) find(v nodeID) nodeID {
+	for u.parent[v] != v {
+		u.parent[v] = u.parent[u.parent[v]] // path halving
+		v = u.parent[v]
+	}
+	return v
+}
+
+// union merges the classes of a and b and returns the representative (the
+// smaller of the two class minima).
+func (u *unionFind) union(a, b nodeID) nodeID {
+	ra, rb := u.find(a), u.find(b)
+	if ra == rb {
+		return ra
+	}
+	if rb < ra {
+		ra, rb = rb, ra
+	}
+	u.parent[rb] = ra
+	u.nreps--
+	return ra
+}
+
+// reps returns the number of equivalence classes.
+func (u *unionFind) reps() int { return u.nreps }
+
+// tarjanSCC computes the strongly connected components of the graph on
+// nodes [0, len(succs)) with the given successor lists, iteratively (solver
+// graphs contain copy chains far deeper than the goroutine stack guard).
+// SCCs are emitted successors-first: iterating the result backwards visits
+// every component before any of its successors, i.e. predecessors-first.
+func tarjanSCC(succs [][]nodeID) [][]nodeID {
+	n := len(succs)
+	index := make([]int, n) // 0 = unvisited, else order+1
+	lowlink := make([]int, n)
+	onStack := make([]bool, n)
+	stack := make([]nodeID, 0, n)
+	var sccs [][]nodeID
+
+	type frame struct {
+		v nodeID
+		i int // next successor to examine
+	}
+	var frames []frame
+	next := 1
+	for root := 0; root < n; root++ {
+		if index[root] != 0 {
+			continue
+		}
+		index[root], lowlink[root] = next, next
+		next++
+		stack = append(stack, nodeID(root))
+		onStack[root] = true
+		frames = append(frames[:0], frame{nodeID(root), 0})
+		for len(frames) > 0 {
+			f := &frames[len(frames)-1]
+			v := f.v
+			if f.i < len(succs[v]) {
+				w := succs[v][f.i]
+				f.i++
+				if index[w] == 0 {
+					index[w], lowlink[w] = next, next
+					next++
+					stack = append(stack, w)
+					onStack[w] = true
+					frames = append(frames, frame{w, 0})
+				} else if onStack[w] && index[w] < lowlink[v] {
+					lowlink[v] = index[w]
+				}
+				continue
+			}
+			frames = frames[:len(frames)-1]
+			if len(frames) > 0 {
+				if p := frames[len(frames)-1].v; lowlink[v] < lowlink[p] {
+					lowlink[p] = lowlink[v]
+				}
+			}
+			if lowlink[v] == index[v] {
+				var scc []nodeID
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					onStack[w] = false
+					scc = append(scc, w)
+					if w == v {
+						break
+					}
+				}
+				sccs = append(sccs, scc)
+			}
+		}
+	}
+	return sccs
 }

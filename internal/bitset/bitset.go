@@ -1,7 +1,6 @@
 // Package bitset provides the bit-set substrate behind every non-baseline
 // set of integers in this repository: points-to matrix rows, Andersen
-// wave-propagation sets, HVN label sets, flow-analysis states, and the
-// bitenc query path.
+// wave-propagation sets, flow-analysis states, and the bitenc query path.
 //
 // Two implementations back a common Set interface:
 //

@@ -7,7 +7,6 @@ import (
 	"io"
 	"runtime"
 	"slices"
-	"time"
 
 	"pestrie/internal/anders"
 	"pestrie/internal/bitset"
@@ -16,9 +15,9 @@ import (
 )
 
 // AndersBenchRow measures the Andersen constraint engine on one program
-// preset: constraint-system dimensions, what the HVN and cycle-collapsing
-// reductions removed, solve wall-clock at -j1 vs -jN, the HVN ablation,
-// and the matrix-identity check the engine guarantees across all of them.
+// preset: constraint-system dimensions, what cycle collapsing removed,
+// solve wall-clock at -j1 vs -jN, and the matrix-identity check the engine
+// guarantees across them.
 // Serialized to BENCH_anders.json. The host facts say what the timings
 // were measured on; the parallel speedup is null when GOMAXPROCS is below
 // Workers, since such a run measures time slicing, not parallelism.
@@ -35,16 +34,12 @@ type AndersBenchRow struct {
 	NumCPU      int    `json:"num_cpu"`
 	GoVersion   string `json:"go_version"`
 
-	HVNMerged   int `json:"hvn_merged_vars"`
 	CycleMerged int `json:"cycle_merged_vars"`
 	Rounds      int `json:"rounds"`
 
 	SolveSerialNS   int64    `json:"solve_serial_ns"`
 	SolveParallelNS int64    `json:"solve_parallel_ns"`
 	ParallelSpeedup *float64 `json:"parallel_speedup"`
-
-	SolveNoHVNNS int64   `json:"solve_nohvn_ns"`
-	HVNSpeedup   float64 `json:"hvn_speedup"` // serial solve, HVN off vs on
 
 	ConstraintsPerSec float64 `json:"constraints_per_sec"` // at -jN
 
@@ -55,8 +50,8 @@ type AndersBenchRow struct {
 	SolveLinkedNS    int64   `json:"solve_linked_ns"`
 	SubstrateSpeedup float64 `json:"substrate_speedup"` // linked vs flat, serial
 
-	// MatrixIdentical confirms the -j1, -jN, and no-HVN runs produced the
-	// same matrix and name tables; SubstrateIdentical does the same for the
+	// MatrixIdentical confirms the -j1 and -jN runs produced the same
+	// matrix and name tables; SubstrateIdentical does the same for the
 	// linked-substrate run. The harness panics if they ever differ.
 	MatrixIdentical    bool `json:"matrix_identical"`
 	SubstrateIdentical bool `json:"substrate_identical"`
@@ -107,34 +102,29 @@ func andersBenchOne(p ir.ProgPreset, workers int) AndersBenchRow {
 		GoVersion:  runtime.Version(),
 	}
 
+	// Every configuration is timed as the better of two solves, so no
+	// side is billed for faulting in a fresh heap or for lazy runtime
+	// initialisation, whichever runs first.
 	solve := func(o anders.Options) (*anders.Result, int64) {
 		runtime.GC() // don't bill a run for its predecessor's garbage
-		start := time.Now()
-		res, err := anders.Analyze(prog, &o)
-		if err != nil {
-			panic(err)
-		}
-		return res, time.Since(start).Nanoseconds()
+		var res *anders.Result
+		ns := bestOf2(func() {
+			var err error
+			if res, err = anders.Analyze(prog, &o); err != nil {
+				panic(err)
+			}
+		})
+		return res, ns
 	}
 
 	serial, serialNS := solve(anders.Options{Workers: 1})
 	parallel, parallelNS := solve(anders.Options{Workers: workers})
-	nohvn, nohvnNS := solve(anders.Options{Workers: 1, DisableHVN: true})
 
-	// Substrate pair: measured back to back after the runs above have
-	// warmed the process, best of two per substrate, so neither side is
-	// billed for cold caches or lazy runtime initialisation.
 	prevSub := bitset.Default()
 	bitset.Use(bitset.FlatSubstrate)
 	_, flatNS := solve(anders.Options{Workers: 1})
-	if _, ns := solve(anders.Options{Workers: 1}); ns < flatNS {
-		flatNS = ns
-	}
 	bitset.Use(bitset.LinkedSubstrate)
 	linked, linkedNS := solve(anders.Options{Workers: 1})
-	if _, ns := solve(anders.Options{Workers: 1}); ns < linkedNS {
-		linkedNS = ns
-	}
 	bitset.Use(prevSub)
 
 	st := serial.Stats
@@ -142,14 +132,11 @@ func andersBenchOne(p ir.ProgPreset, workers int) AndersBenchRow {
 	row.Objects = st.Objects
 	row.Constraints = st.Constraints
 	row.MatrixFacts = serial.PM.Edges()
-	row.HVNMerged = st.HVNMerged
 	row.CycleMerged = st.CycleMerged
 	row.Rounds = st.Rounds
 	row.SolveSerialNS = serialNS
 	row.SolveParallelNS = parallelNS
 	row.ParallelSpeedup = parallelSpeedup(serialNS, parallelNS, row.Workers)
-	row.SolveNoHVNNS = nohvnNS
-	row.HVNSpeedup = nsRatio(nohvnNS, serialNS)
 	if parallelNS > 0 {
 		row.ConstraintsPerSec = float64(st.Constraints) / (float64(parallelNS) / 1e9)
 	}
@@ -157,9 +144,9 @@ func andersBenchOne(p ir.ProgPreset, workers int) AndersBenchRow {
 	row.SolveLinkedNS = linkedNS
 	row.SubstrateSpeedup = nsRatio(linkedNS, flatNS)
 
-	row.MatrixIdentical = sameAnalysis(serial, parallel) && sameAnalysis(serial, nohvn)
+	row.MatrixIdentical = sameAnalysis(serial, parallel)
 	if !row.MatrixIdentical {
-		panic(fmt.Sprintf("%s: -j1, -j%d, and no-HVN results differ", p.Name, row.Workers))
+		panic(fmt.Sprintf("%s: -j1 and -j%d results differ", p.Name, row.Workers))
 	}
 	row.SubstrateIdentical = sameAnalysis(serial, linked)
 	if !row.SubstrateIdentical {
@@ -177,16 +164,15 @@ func sameAnalysis(a, b *anders.Result) bool {
 // RenderAndersBench renders AndersBench rows as text.
 func RenderAndersBench(rows []AndersBenchRow) string {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "Anders bench: constraint solving, -j1 vs -jN and HVN ablation (GOMAXPROCS=%d)\n",
+	fmt.Fprintf(&b, "Anders bench: constraint solving, -j1 vs -jN (GOMAXPROCS=%d)\n",
 		runtime.GOMAXPROCS(0))
-	fmt.Fprintf(&b, "%-14s %4s | %8s %7s %6s | %10s %10s %7s | %10s %7s | %10s %7s | %11s | %s\n",
-		"preset", "j", "cons", "hvn", "cyc",
-		"solve-j1", "solve-jN", "speedup", "no-hvn", "hvn×", "linked", "sub×", "cons/s", "identical")
+	fmt.Fprintf(&b, "%-14s %4s | %8s %6s | %10s %10s %7s | %10s %7s | %11s | %s\n",
+		"preset", "j", "cons", "cyc",
+		"solve-j1", "solve-jN", "speedup", "linked", "sub×", "cons/s", "identical")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %4d | %8d %7d %6d | %8.1fms %8.1fms %7s | %8.1fms %6.2f× | %8.1fms %6.2f× | %11.0f | %v\n",
-			r.Name, r.Workers, r.Constraints, r.HVNMerged, r.CycleMerged,
+		fmt.Fprintf(&b, "%-14s %4d | %8d %6d | %8.1fms %8.1fms %7s | %8.1fms %6.2f× | %11.0f | %v\n",
+			r.Name, r.Workers, r.Constraints, r.CycleMerged,
 			float64(r.SolveSerialNS)/1e6, float64(r.SolveParallelNS)/1e6, speedupCell(r.ParallelSpeedup),
-			float64(r.SolveNoHVNNS)/1e6, r.HVNSpeedup,
 			float64(r.SolveLinkedNS)/1e6, r.SubstrateSpeedup,
 			r.ConstraintsPerSec, r.MatrixIdentical && r.SubstrateIdentical)
 	}

@@ -3,9 +3,10 @@ package ir
 // ProgPreset names a Generate configuration. Where synth presets model
 // the *matrices* of Table 2, program presets model the *constraint
 // systems* the Andersen engine solves to produce such matrices: the small
-// historical shape plus scaled-up variants stressing the engine's three
-// stages (deep chains for levelized propagation, dense dereference webs
-// for online edge insertion, and a large combined workload).
+// historical shape plus scaled-up variants stressing the engine's two
+// stages (deep chains for cycle collapsing and levelized propagation,
+// dense dereference webs for online edge insertion, and a large combined
+// workload).
 type ProgPreset struct {
 	Name string
 	Desc string

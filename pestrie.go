@@ -205,9 +205,9 @@ type AnalysisResult = anders.Result
 // ParseProgram reads the textual pointer IR.
 func ParseProgram(r io.Reader) (*Program, error) { return ir.Parse(r) }
 
-// AnalysisOptions configure the Andersen engine: clone depth, worker
-// count for the solver's parallel deref scan, and the HVN ablation
-// switch. The result is identical for every worker count.
+// AnalysisOptions configure the Andersen engine: clone depth and the
+// worker count of the solver's parallel deref scan. The result is
+// identical for every worker count.
 type AnalysisOptions = anders.Options
 
 // Analyze runs the Andersen-style inclusion-based analysis. cloneDepth > 0
@@ -216,8 +216,8 @@ func Analyze(prog *Program, cloneDepth int) (*AnalysisResult, error) {
 	return AnalyzeWith(prog, AnalysisOptions{CloneDepth: cloneDepth})
 }
 
-// AnalyzeWith runs the analysis with full engine options, including the
-// `-j` worker count of the solver's deref scan.
+// AnalyzeWith runs the analysis with the given clone depth and the `-j`
+// worker count of the solver's deref scan.
 func AnalyzeWith(prog *Program, opts AnalysisOptions) (*AnalysisResult, error) {
 	return anders.Analyze(prog, &opts)
 }
