@@ -11,30 +11,24 @@ import (
 // one — so a matrix persisted through this package is byte-identical to one
 // persisted through the bitmap baseline, whatever the substrate.
 
-// Write writes s to w as a varint count followed by delta-varint members,
-// returning the number of bytes written.
-func Write(w io.Writer, s Set) (int64, error) {
-	var buf [binary.MaxVarintLen64]byte
-	var written int64
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		k, err := w.Write(buf[:n])
-		written += int64(k)
-		return err
-	}
-	if err := put(uint64(s.Count())); err != nil {
-		return written, err
-	}
+// AppendSet appends the serialization of s to b: a varint count followed
+// by delta-varint members.
+func AppendSet(b []byte, s Set) []byte {
+	b = binary.AppendUvarint(b, uint64(s.Count()))
 	prev := 0
-	var ferr error
 	s.ForEach(func(i int) bool {
-		if ferr = put(uint64(i - prev)); ferr != nil {
-			return false
-		}
+		b = binary.AppendUvarint(b, uint64(i-prev))
 		prev = i
 		return true
 	})
-	return written, ferr
+	return b
+}
+
+// Write writes s to w as AppendSet encodes it, returning the number of
+// bytes written.
+func Write(w io.Writer, s Set) (int64, error) {
+	n, err := w.Write(AppendSet(nil, s))
+	return int64(n), err
 }
 
 // maxBit bounds decoded member indexes, rejecting corrupt delta streams
@@ -103,15 +97,4 @@ func readFlat(r io.ByteReader, n uint64) (Set, error) {
 		}
 	}
 	return f, nil
-}
-
-type countingWriter struct{}
-
-func (cw *countingWriter) Write(p []byte) (int, error) { return len(p), nil }
-
-// EncodedSize returns the number of bytes Write would emit, without
-// performing any I/O.
-func EncodedSize(s Set) int64 {
-	n, _ := Write(&countingWriter{}, s)
-	return n
 }

@@ -18,7 +18,7 @@ import (
 //	magic "PTM1"
 //	uvarint numPointers
 //	uvarint numObjects
-//	numPointers × delta-varint set rows (see bitset.Write / bitmap.WriteTo)
+//	numPointers × delta-varint set rows (see bitset.AppendSet / bitmap.WriteTo)
 
 const matrixMagic = "PTM1"
 
@@ -40,9 +40,13 @@ func (pm *PointsTo) WriteTo(w io.Writer) (int64, error) {
 			return written, err
 		}
 	}
+	// One Write per row, not per member: the row is appended into a
+	// buffer reused across rows.
+	var row []byte
 	for p := 0; p < pm.NumPointers; p++ {
-		n, err := bitset.Write(bw, pm.Row(p))
-		written += n
+		row = bitset.AppendSet(row[:0], pm.Row(p))
+		n, err := bw.Write(row)
+		written += int64(n)
 		if err != nil {
 			return written, err
 		}

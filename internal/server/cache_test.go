@@ -145,10 +145,11 @@ func TestCoordinatorByteIdentity(t *testing.T) {
 			Query{Op: "pointedby", O: intp(p % 40)},
 		)
 	}
-	// Error answers must round-trip identically too.
+	// Error answers must round-trip identically too, escapes included.
 	queries = append(queries,
 		Query{Op: "pointsto", P: intp(ix.NumPointers + 3)},
 		Query{Op: "nosuch"},
+		Query{Op: `<a&b> "x"`},
 		Query{Op: "isalias", P: intp(1)},
 	)
 
@@ -160,6 +161,9 @@ func TestCoordinatorByteIdentity(t *testing.T) {
 		t.Fatalf("second pass hit the cache %d times, want %d", got, 3*40)
 	}
 	cold := postBatch(t, coldURL, "", queries)
+	for _, body := range [][]byte{computed, cached, cold} {
+		requireReencodes[BatchResponse](t, body)
+	}
 	if !bytes.Equal(computed, cold) {
 		t.Fatalf("two servers over one index diverge\nwarm %s\ncold %s", computed, cold)
 	}

@@ -71,3 +71,106 @@ func FuzzBatchRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReplyEncoding holds the reply writer to encoding/json. From the fuzz
+// input it builds a lone Result and a BatchResponse: each layout byte
+// picks a result's alias (nil, true or false), its IDs (omitted, or
+// marshalIDs of nil, of an empty slice, or of ints drawn from the next
+// layout bytes) and whether it carries text as its error; the byte after
+// the lone result picks nil, empty or generated results, and gen is the
+// generation tag. appendResult and appendBatch plus the closing newline
+// must be what json.Encoder writes, and marshalIDs must be what
+// json.Marshal writes for the same slice.
+func FuzzReplyEncoding(f *testing.F) {
+	var every []byte // each alias × IDs × error choice, wide negative IDs included
+	for c := byte(0); c < 24; c++ {
+		every = append(every, c)
+		if c/3%4 == 3 {
+			every = append(every, 3, 0xff, 40, 0x7f, 0, 5, 3)
+		}
+	}
+	for _, text := range []string{
+		"", "<", ">", "&", `"`, `\`, "\x00\x01\t\n\r\x1f\x7f",
+		"\u2028", "\u2029", "\xff", "a\xc3(b", "\ufffd",
+		`server: unknown op "<a&b> \"x\""`,
+	} {
+		for _, layout := range [][]byte{
+			{12, 0},                        // an error alone; nil results
+			{13, 1},                        // alias and error; empty results
+			append([]byte{0, 2}, every...), // {}; every kind of result
+		} {
+			f.Add(layout, text, text, uint16(0))
+			f.Add(layout, text, "s:120x30x55x81", uint16(len(text)+1))
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, layout []byte, text, gen string, unanswered uint16) {
+		next := func() int { // the next layout byte, 0 once they run out
+			if len(layout) == 0 {
+				return 0
+			}
+			c := layout[0]
+			layout = layout[1:]
+			return int(c)
+		}
+		marshal := func(ids []int) json.RawMessage {
+			want, err := json.Marshal(ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := marshalIDs(ids)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("marshalIDs(%v) = %s, json.Marshal writes %s", ids, got, want)
+			}
+			return got
+		}
+		result := func() Result {
+			c := next()
+			var r Result
+			if c%3 > 0 {
+				alias := c%3 == 1
+				r.Alias = &alias
+			}
+			switch c / 3 % 4 { // 0 leaves IDs out
+			case 1:
+				r.IDs = marshal(nil)
+			case 2:
+				r.IDs = marshal([]int{})
+			case 3:
+				ids := make([]int, next()%9)
+				for i := range ids {
+					ids[i] = int(int8(next())) << (next() % 56)
+				}
+				r.IDs = marshal(ids)
+			}
+			if c/12%2 == 1 {
+				r.Err = text
+			}
+			return r
+		}
+		check := func(got []byte, v any) {
+			t.Helper()
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(v); err != nil {
+				t.Fatal(err)
+			}
+			if got = append(got, '\n'); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("reply writer diverges from encoding/json for %+v\nwriter %q\njson   %q", v, got, want.Bytes())
+			}
+		}
+
+		lone := result()
+		check(appendResult(nil, lone), lone)
+
+		br := BatchResponse{Generation: gen, Unanswered: int(unanswered)}
+		switch next() % 3 {
+		case 1:
+			br.Results = []Result{}
+		case 2:
+			for len(layout) > 0 {
+				br.Results = append(br.Results, result())
+			}
+		}
+		check(appendBatch(nil, br), br)
+	})
+}

@@ -20,7 +20,7 @@
 // eviction and hot-swap never free or tear an index mid-query.
 //
 // Answers are produced by calling the underlying *core.Index directly and
-// marshaling its return value verbatim, so a server response is
+// encoding its return value verbatim, so a server response is
 // byte-identical to what an in-process caller would encode. The Index is
 // immutable after Load, which is what makes the whole service a pile of
 // lock-free concurrent readers (pinned by the package's -race tests).
@@ -38,6 +38,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -282,9 +284,8 @@ func (s *Server) exec(b *backend, ix delta.Index, tag string, q Query) Result {
 		key := queryKey(b.name, tag, q)
 		var hit bool
 		if res, hit = s.cache.get(key); !hit {
-			if res.IDs, err = marshalIDs(list()); err == nil {
-				s.cache.put(key, res)
-			}
+			res.IDs = marshalIDs(list())
+			s.cache.put(key, res)
 		}
 	}
 	if err != nil {
@@ -297,14 +298,31 @@ func (s *Server) exec(b *backend, ix delta.Index, tag string, q Query) Result {
 	return res
 }
 
-// marshalIDs encodes the index's return value verbatim: nil stays null,
-// empty stays [], order is untouched.
-func marshalIDs(ids []int) (json.RawMessage, error) {
-	raw, err := json.Marshal(ids)
-	if err != nil {
-		return nil, err
+// marshalIDs encodes the index's return value verbatim, in the bytes
+// json.Marshal writes for it: nil stays null, empty stays [], order is
+// untouched.
+func marshalIDs(ids []int) json.RawMessage {
+	if ids == nil {
+		return json.RawMessage("null")
 	}
-	return json.RawMessage(raw), nil
+	if len(ids) == 0 {
+		return json.RawMessage("[]")
+	}
+	// Size the buffer once: no ID is wider than the largest. The bytes
+	// may sit in the answer cache, so they should not carry much slack.
+	width := 1
+	for hi := slices.Max(ids); hi >= 10; hi /= 10 {
+		width++
+	}
+	b := make([]byte, 0, 1+len(ids)*(width+1))
+	b = append(b, '[')
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
+	}
+	return append(b, ']')
 }
 
 // runBatch answers queries with the worker pool, preserving order. It
@@ -398,6 +416,95 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// writeReply writes body, a reply encoded by appendResult or appendBatch,
+// in one Write, ending it with the newline json.Encoder writes. Those two
+// append the bytes json.Encoder would write but copy encoded IDs
+// verbatim: the encoder re-validates and compacts every json.RawMessage,
+// cached answers included, and that cost half the server's CPU under
+// pbench serve-zipf (DESIGN.md, "Reply encoding"). FuzzReplyEncoding
+// holds them to encoding/json.
+func writeReply(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(append(body, '\n'))
+}
+
+// resultBytes bounds len(appendResult(nil, r)) plus one separating comma
+// when r.Err needs no escapes: {"alias":false,"ids":…,"error":"…"},
+func resultBytes(r Result) int { return 34 + len(r.IDs) + len(r.Err) }
+
+// batchBytes bounds len(appendBatch(nil, br)) plus the closing newline
+// when no string needs escapes: besides the tag and the results, the
+// envelope and the newline take at most 80 bytes.
+func batchBytes(br BatchResponse) int {
+	n := 80 + len(br.Generation)
+	for _, r := range br.Results {
+		n += resultBytes(r)
+	}
+	return n
+}
+
+// appendResult appends the encoding of r: fields in struct order, each
+// omitted when empty, and IDs verbatim, since they are marshalIDs output
+// and hold nothing encoding/json would compact or escape.
+func appendResult(b []byte, r Result) []byte {
+	b = append(b, '{')
+	// No field value ends in '{', so it marks that none is written yet.
+	if r.Alias != nil {
+		b = append(b, `"alias":`...)
+		b = strconv.AppendBool(b, *r.Alias)
+	}
+	if len(r.IDs) > 0 {
+		if b[len(b)-1] != '{' {
+			b = append(b, ',')
+		}
+		b = append(b, `"ids":`...)
+		b = append(b, r.IDs...)
+	}
+	if r.Err != "" {
+		if b[len(b)-1] != '{' {
+			b = append(b, ',')
+		}
+		b = append(b, `"error":`...)
+		b = appendString(b, r.Err)
+	}
+	return append(b, '}')
+}
+
+// appendBatch appends the encoding of br: results (null for a nil slice),
+// then generation and unanswered, each omitted when empty.
+func appendBatch(b []byte, br BatchResponse) []byte {
+	b = append(b, `{"results":`...)
+	if br.Results == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, r := range br.Results {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendResult(b, r)
+		}
+		b = append(b, ']')
+	}
+	if br.Generation != "" {
+		b = append(b, `,"generation":`...)
+		b = appendString(b, br.Generation)
+	}
+	if br.Unanswered != 0 {
+		b = append(b, `,"unanswered":`...)
+		b = strconv.AppendInt(b, int64(br.Unanswered), 10)
+	}
+	return append(b, '}')
+}
+
+// appendString appends s as encoding/json quotes it, escapes included:
+// <, > and &, U+2028 and U+2029, and invalid UTF-8 as U+FFFD.
+func appendString(b []byte, s string) []byte {
+	q, _ := json.Marshal(s) // a string always marshals
+	return append(b, q...)
+}
+
 type queryRequest struct {
 	Backend string `json:"backend"`
 	Query
@@ -432,11 +539,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer h.Release()
 	res := s.exec(b, h.Index(), h.VersionTag(), req.Query)
+	status := http.StatusOK
 	if res.Err != "" {
-		writeJSON(w, http.StatusBadRequest, res)
-		return
+		status = http.StatusBadRequest
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeReply(w, status, appendResult(make([]byte, 0, resultBytes(res)), res))
 }
 
 // resolveStatus maps a resolve failure to its HTTP status: names that
@@ -495,7 +602,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// eating batches.
 		st.canceled.Add(int64(unanswered))
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Results: results, Generation: tag, Unanswered: unanswered})
+	// One buffer per reply, sized once. A pool was measured to gain
+	// nothing, and it would pin the largest reply it ever held.
+	br := BatchResponse{Results: results, Generation: tag, Unanswered: unanswered}
+	writeReply(w, http.StatusOK, appendBatch(make([]byte, 0, batchBytes(br)), br))
 }
 
 // BackendInfo describes one catalogued index. File entries report

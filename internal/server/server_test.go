@@ -29,7 +29,7 @@ func testPM(seed int64, np, no, edges int) *matrix.PointsTo {
 
 // testIndex round-trips through the persistent format so the server under
 // test queries a genuinely loaded .pes image, not a construction shortcut.
-func testIndex(t *testing.T, pm *matrix.PointsTo) *core.Index {
+func testIndex(t testing.TB, pm *matrix.PointsTo) *core.Index {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := core.Build(pm, nil).WriteTo(&buf); err != nil {
@@ -73,6 +73,24 @@ func postJSON(t *testing.T, url string, v any) (*http.Response, []byte) {
 }
 
 func intp(v int) *int { return &v }
+
+// requireReencodes decodes a served body into a T and requires that
+// json.Encoder writes that value back byte for byte: whatever writes the
+// reply, the body must be exactly what encoding/json makes of it.
+func requireReencodes[T any](t *testing.T, body []byte) {
+	t.Helper()
+	var v T
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatalf("decoding %s: %v", body, err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("served body is not encoding/json's\nserved  %q\nencoded %q", body, want.Bytes())
+	}
+}
 
 // directIDs is the byte-identical reference: the JSON encoding of the
 // exact slice an in-process Index call returns.
@@ -292,6 +310,9 @@ func TestRequestErrors(t *testing.T) {
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status %d, want %d (%s)", name, resp.StatusCode, tc.status, body)
 		}
+		if name == "unknown op" {
+			requireReencodes[Result](t, body)
+		}
 	}
 
 	// The named second backend still answers.
@@ -315,6 +336,7 @@ func TestBatchTimeout(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 (%s)", resp.StatusCode, body)
 	}
+	requireReencodes[BatchResponse](t, body)
 	var br BatchResponse
 	if err := json.Unmarshal([]byte(body), &br); err != nil {
 		t.Fatal(err)
@@ -517,4 +539,71 @@ func TestRunBench(t *testing.T) {
 	if report.String() == "" {
 		t.Fatal("empty report")
 	}
+}
+
+// zipfReply is one 32-result /batch reply in serve-zipf's mix (pbench):
+// 19 isalias, 5 aliases, 5 pointsto and 3 pointedby answers. The index has
+// the served program's dimensions, 18,000 pointers over 14,000 objects,
+// in 450 classes of 40 pointers that share 32 random objects: a list
+// holds about 1,300 aliases, 31 objects or 60 pointers, against pbench's
+// means of 1,540, 32 and 40, and the reply is ~34KB against ~41KB.
+func zipfReply(tb testing.TB) BatchResponse {
+	const pointers, objects, classes, fanout = 18000, 14000, 450, 32
+	rng := rand.New(rand.NewSource(1))
+	pm := matrix.New(pointers, objects)
+	objs := make([][]int, classes)
+	for c := range objs {
+		for i := 0; i < fanout; i++ {
+			objs[c] = append(objs[c], rng.Intn(objects))
+		}
+	}
+	for p := 0; p < pointers; p++ {
+		for _, o := range objs[p%classes] {
+			pm.Add(p, o)
+		}
+	}
+	ix := testIndex(tb, pm)
+	results := make([]Result, 32)
+	for i := range results {
+		p := rng.Intn(pointers)
+		switch {
+		case i < 19:
+			alias := ix.IsAlias(p, rng.Intn(pointers))
+			results[i].Alias = &alias
+		case i < 24:
+			results[i].IDs = marshalIDs(ix.ListAliases(p))
+		case i < 29:
+			results[i].IDs = marshalIDs(ix.ListPointsTo(p))
+		default:
+			results[i].IDs = marshalIDs(ix.ListPointedBy(rng.Intn(objects)))
+		}
+	}
+	return BatchResponse{Results: results, Generation: "0123456789abcdef@12"}
+}
+
+var replySink []byte
+
+// BenchmarkReplyEncoding times the reply writer on zipfReply against the
+// json.Encoder it replaced, which re-validates and compacts every
+// already-encoded IDs list.
+func BenchmarkReplyEncoding(b *testing.B) {
+	br := zipfReply(b)
+	b.Run("writer", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			replySink = append(appendBatch(make([]byte, 0, batchBytes(br)), br), '\n')
+		}
+		b.SetBytes(int64(len(replySink)))
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := json.NewEncoder(&buf).Encode(br); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(buf.Len()))
+	})
 }
