@@ -12,13 +12,10 @@
 //	pestrie compact -in pm.pes -out pm2.pes [-gen N] [-v2]
 //	pestrie serve -in pm.pes[,name=other.pes...] -addr :7171
 //	pestrie serve -store-dir ./pes -mem-budget 64MiB -reload-interval 30s
-//	pestrie bench-serve -addr http://host:7171 -in pm.pes -n 200 [-zipf 1.2]
 //
 // serve answers the four Table-1 queries plus batches over HTTP/JSON (see
-// internal/server), answering repeated list queries from an answer cache;
-// bench-serve replays a §7.1.1 base-pointer query mix against a running
-// server — uniform, or zipf-skewed with -zipf — and reports throughput,
-// latency, and the server's answer-cache counters.
+// internal/server), answering repeated list queries from an answer cache.
+// pbench (bash pbench/run.sh) load-tests it.
 //
 // serve catalogs every backend in the managed index store (see
 // internal/store). -in entries are decoded at startup, so a broken path
@@ -64,7 +61,6 @@ import (
 	"pestrie/internal/perf"
 	"pestrie/internal/server"
 	"pestrie/internal/store"
-	"pestrie/internal/synth"
 )
 
 // budgetString renders a store budget for the startup banner.
@@ -95,8 +91,6 @@ func main() {
 		err = compact(os.Args[2:])
 	case "serve":
 		err = serve(os.Args[2:])
-	case "bench-serve":
-		err = benchServe(os.Args[2:])
 	default:
 		usage()
 	}
@@ -107,7 +101,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: pestrie <encode|info|query|verify|delta|compact|serve|bench-serve> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: pestrie <encode|info|query|verify|delta|compact|serve> [flags]")
 	os.Exit(2)
 }
 
@@ -205,11 +199,9 @@ func serveLoop(s *server.Server, addr string) error {
 
 func serve(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	bitset.Flag(fs)
 	in := fs.String("in", "", "persistent files to serve: [name=]file.pes, comma-separated")
 	addr := fs.String("addr", ":7171", "listen address")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request deadline")
-	workers := fs.Int("workers", 0, "batch worker-pool size (0 = GOMAXPROCS)")
 	maxBatch := fs.Int("max-batch", 0, "max queries per batch request (0 = 65536)")
 	storeDir := fs.String("store-dir", "", "directory of .pes files served lazily through the index store")
 	memBudget := fs.String("mem-budget", "", "decoded-index memory budget for the store, e.g. 64MiB (empty = unlimited)")
@@ -228,7 +220,6 @@ func serve(args []string) error {
 	}
 	s, st, err := newServer(*in, *storeDir, server.Options{
 		RequestTimeout: *timeout,
-		BatchWorkers:   *workers,
 		MaxBatch:       *maxBatch,
 		EnablePprof:    *pprofOn,
 	}, store.Options{MemBudget: budget, ReloadInterval: *reload})
@@ -250,124 +241,6 @@ func serve(args []string) error {
 	}
 	fmt.Printf("serving on %s (timeout %s)\n", *addr, *timeout)
 	return serveLoop(s, *addr)
-}
-
-// parseMix parses "isalias=60,aliases=15,pointsto=15,pointedby=10".
-func parseMix(spec string) (server.Mix, error) {
-	m := server.Mix{}
-	for _, part := range strings.Split(spec, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return m, fmt.Errorf("bench-serve: bad -mix entry %q", part)
-		}
-		var w int
-		if _, err := fmt.Sscanf(kv[1], "%d", &w); err != nil || w < 0 {
-			return m, fmt.Errorf("bench-serve: bad -mix weight %q", part)
-		}
-		switch kv[0] {
-		case "isalias":
-			m.IsAlias = w
-		case "aliases":
-			m.Aliases = w
-		case "pointsto":
-			m.PointsTo = w
-		case "pointedby":
-			m.PointedBy = w
-		default:
-			return m, fmt.Errorf("bench-serve: unknown -mix op %q", kv[0])
-		}
-	}
-	return m, nil
-}
-
-func benchServe(args []string) error {
-	fs := flag.NewFlagSet("bench-serve", flag.ExitOnError)
-	bitset.Flag(fs)
-	addr := fs.String("addr", "http://localhost:7171", "server base URL")
-	in := fs.String("in", "", "persistent file the server loaded (query-population source)")
-	backend := fs.String("backend", "", "backend name (empty for single-backend servers)")
-	n := fs.Int("n", 200, "batch requests to send")
-	batch := fs.Int("batch", 256, "queries per batch")
-	conc := fs.Int("concurrency", 8, "in-flight requests")
-	stride := fs.Int("stride", 10, "base-pointer stride (§7.1.1 population)")
-	seed := fs.Int64("seed", 1, "query-stream seed")
-	mixSpec := fs.String("mix", "", "query mix, e.g. isalias=60,aliases=15,pointsto=15,pointedby=10")
-	zipfS := fs.Float64("zipf", 0, "zipfian exponent for argument skew (>1 enables; 0 = uniform)")
-	fs.Parse(args)
-	if *in == "" {
-		return fmt.Errorf("bench-serve needs -in")
-	}
-	idx, err := pestrie.LoadFile(*in)
-	if err != nil {
-		return err
-	}
-	// The §7.1.1 query population: base pointers of loads and stores,
-	// approximated by the stride sample over pointers with non-empty
-	// points-to sets, recovered from the persistent image itself.
-	pm := idx.RecoverMatrix()
-	base := synth.BasePointers(pm, *stride)
-	if len(base) == 0 {
-		return fmt.Errorf("bench-serve: %s has no pointers with non-empty points-to sets", *in)
-	}
-	mix := server.DefaultMix
-	if *mixSpec != "" {
-		if mix, err = parseMix(*mixSpec); err != nil {
-			return err
-		}
-	}
-	target := strings.TrimSuffix(*addr, "/")
-	fmt.Printf("replaying %d×%d queries over %d base pointers against %s\n",
-		*n, *batch, len(base), target)
-	ctx := context.Background()
-	report, err := server.RunBench(ctx, server.BenchOptions{
-		URL:         target,
-		Backend:     *backend,
-		Base:        base,
-		NumObjects:  idx.NumObjects,
-		Requests:    *n,
-		BatchSize:   *batch,
-		Concurrency: *conc,
-		Seed:        *seed,
-		Mix:         mix,
-		ZipfS:       *zipfS,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println(report)
-	// The server's answer-cache counters: how much of the stream (and of
-	// any earlier traffic) was answered from cached list answers.
-	var stats server.Stats
-	if err := server.FetchJSON(ctx, target, "/debug/stats", &stats); err != nil {
-		fmt.Fprintf(os.Stderr, "pestrie: server stats unavailable: %v\n", err)
-	} else {
-		c := stats.Cache
-		fmt.Printf("answer cache (server totals): %.1f%% hit ratio (%d hits, %d misses, %s of %s, %d evictions)\n",
-			100*c.HitRatio, c.Hits, c.Misses, perf.Bytes(c.Bytes), perf.Bytes(c.Budget), c.Evictions)
-	}
-	// The store's refresh economics: how many times each backend was fully
-	// decoded vs advanced by applying delta segments, and what each path
-	// cost.
-	var sstats store.Stats
-	if err := server.FetchJSON(ctx, target, "/debug/store", &sstats); err != nil {
-		fmt.Fprintf(os.Stderr, "pestrie: store stats unavailable: %v\n", err)
-		return nil
-	}
-	for _, e := range sstats.Backends {
-		if *backend != "" && e.Name != *backend {
-			continue
-		}
-		line := fmt.Sprintf("store %s: generation stamp %d, chain %d, loads=%d (p50=%s)",
-			e.Name, e.Stamp, e.DeltaChain, e.Loads, time.Duration(e.LoadLatency.P50NS))
-		if e.Applies > 0 {
-			line += fmt.Sprintf(", delta applies=%d (p50=%s)", e.Applies, time.Duration(e.ApplyLatency.P50NS))
-		}
-		if e.ChainNote != "" {
-			line += ", chain stops early: " + e.ChainNote
-		}
-		fmt.Println(line)
-	}
-	return nil
 }
 
 // readMatrixFile loads a .ptm matrix file.

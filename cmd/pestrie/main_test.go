@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -205,11 +204,43 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestServeAndBenchServe runs the full serve workflow end to end: encode a
-// matrix, build the server from the -in spec, drive it over a real HTTP
-// listener with a zipf-skewed bench-serve stream, and hit the single-query
-// and stats endpoints.
-func TestServeAndBenchServe(t *testing.T) {
+// getJSON decodes the JSON a GET of url answers into v.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s", url, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+}
+
+// postBatch POSTs a /batch body to the server at url and returns the
+// reply, failing on any status but 200.
+func postBatch(t *testing.T, url, batch string) []byte {
+	t.Helper()
+	resp, err := http.Post(url+"/batch", "application/json", strings.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/batch: status %d body %s", resp.StatusCode, body)
+	}
+	return body
+}
+
+// TestServeRepeatedBatches runs the full serve workflow end to end: encode
+// a matrix, build the server from the -in spec, post one fixed /batch five
+// times over a real HTTP listener, and hit the single-query and stats
+// endpoints.
+func TestServeRepeatedBatches(t *testing.T) {
 	dir := t.TempDir()
 	ptm := writeTestMatrix(t, dir)
 	pes := filepath.Join(dir, "m.pes")
@@ -229,12 +260,14 @@ func TestServeAndBenchServe(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if err := benchServe([]string{
-		"-addr", ts.URL, "-in", pes, "-n", "5", "-batch", "20",
-		"-concurrency", "2", "-stride", "1", "-zipf", "1.2",
-		"-mix", "isalias=50,aliases=20,pointsto=20,pointedby=10",
-	}); err != nil {
-		t.Fatalf("bench-serve: %v", err)
+	// List queries repeat inside the batch and across the posts.
+	batch := `{"queries":[{"op":"aliases","p":0},{"op":"pointsto","p":2},{"op":"isalias","p":0,"q":1},` +
+		`{"op":"aliases","p":0},{"op":"pointedby","o":1},{"op":"pointsto","p":2}]}`
+	first := postBatch(t, ts.URL, batch)
+	for i := 1; i < 5; i++ {
+		if body := postBatch(t, ts.URL, batch); !bytes.Equal(body, first) {
+			t.Fatalf("post %d answered\n%s\nthe first\n%s", i, body, first)
+		}
 	}
 
 	resp, err := http.Post(ts.URL+"/query", "application/json",
@@ -248,14 +281,13 @@ func TestServeAndBenchServe(t *testing.T) {
 		t.Fatalf("query: status %d body %s", resp.StatusCode, body)
 	}
 
-	stats := s.Stats()
+	var stats server.Stats
+	getJSON(t, ts.URL+"/debug/stats", &stats)
 	if stats.Backends["default"]["batch"].Count != 5 {
 		t.Fatalf("batch count = %d, want 5", stats.Backends["default"]["batch"].Count)
 	}
-	// Six pointers and three objects under a skewed stream: list queries
-	// repeat, so some must be answered from the cache.
 	if stats.Cache.Hits == 0 {
-		t.Fatalf("skewed stream never hit the answer cache: %+v", stats.Cache)
+		t.Fatalf("repeated list queries never hit the answer cache: %+v", stats.Cache)
 	}
 }
 
@@ -410,16 +442,7 @@ func TestServeInAnswersAtChainHead(t *testing.T) {
 		t.Cleanup(st.Close)
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
-		resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(batch))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/batch: status %d body %s", resp.StatusCode, body)
-		}
-		return ts.URL, body
+		return ts.URL, postBatch(t, ts.URL, batch)
 	}
 	url, plain := serve(store.Options{})
 	_, budgeted := serve(store.Options{MemBudget: 1 << 30})
@@ -445,27 +468,10 @@ func TestServeInAnswersAtChainHead(t *testing.T) {
 	}
 
 	var snap store.Stats
-	if err := server.FetchJSON(context.Background(), url, "/debug/store", &snap); err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, url+"/debug/store", &snap)
 	for _, e := range snap.Backends {
 		if e.Name == "zc" && !(e.Loaded && e.Mapped) {
 			t.Fatalf("PES2 -in entry not served mapped: %+v", e)
-		}
-	}
-}
-
-func TestParseMix(t *testing.T) {
-	m, err := parseMix("isalias=70,pointsto=30")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.IsAlias != 70 || m.PointsTo != 30 || m.Aliases != 0 || m.PointedBy != 0 {
-		t.Fatalf("mix = %+v", m)
-	}
-	for _, bad := range []string{"x=1", "isalias", "isalias=-2", "isalias=zz"} {
-		if _, err := parseMix(bad); err == nil {
-			t.Fatalf("parseMix(%q) accepted", bad)
 		}
 	}
 }

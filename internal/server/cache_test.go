@@ -125,7 +125,7 @@ func postBatch(t *testing.T, url, backend string, queries []Query) []byte {
 func TestCoordinatorByteIdentity(t *testing.T) {
 	ix := testIndex(t, testPM(7, 150, 40, 900))
 	serve := func() (*Server, string) {
-		s := New(Options{BatchWorkers: 4})
+		s := New(Options{})
 		if err := s.AddIndex("default", ix); err != nil {
 			t.Fatal(err)
 		}
@@ -172,13 +172,13 @@ func TestCoordinatorByteIdentity(t *testing.T) {
 	}
 }
 
-// TestCoordinatorDedupAndCache pins deduplication through the cache with
-// a deterministic stream: with one batch worker, the copies of a query
+// TestCoordinatorDedupAndCache pins deduplication through the cache: a
+// batch is answered in order on one goroutine, so the copies of a query
 // after its first inside one batch are answered from the cache, and a
 // repeated batch computes nothing at all.
 func TestCoordinatorDedupAndCache(t *testing.T) {
 	ix := testIndex(t, testPM(9, 100, 25, 500))
-	s := New(Options{BatchWorkers: 1})
+	s := New(Options{})
 	if err := s.AddIndex("default", ix); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 // Endpoints:
 //
 //	POST /query        one Table-1 query  {"backend","op","p","q","o"}
-//	POST /batch        many queries       {"backend","queries":[...]}, answered by a worker pool
+//	POST /batch        many queries       {"backend","queries":[...]}, answered in order
 //	GET  /backends     catalogued indexes and their dimensions
 //	GET  /debug/stats  per-backend/per-op counters, latency histograms, answer-cache counters
 //	GET  /debug/store  store lifecycle state (budget, evictions, generations)
@@ -37,7 +37,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -60,10 +59,6 @@ type Options struct {
 	// included. Zero selects 10s.
 	RequestTimeout time.Duration
 
-	// BatchWorkers is the worker-pool size answering each batch request.
-	// Zero selects GOMAXPROCS.
-	BatchWorkers int
-
 	// MaxBatch caps the queries accepted in one batch request. Zero
 	// selects 65536.
 	MaxBatch int
@@ -81,9 +76,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 10 * time.Second
-	}
-	if o.BatchWorkers <= 0 {
-		o.BatchWorkers = runtime.GOMAXPROCS(0)
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 1 << 16
@@ -325,53 +317,26 @@ func marshalIDs(ids []int) json.RawMessage {
 	return append(b, ']')
 }
 
-// runBatch answers queries with the worker pool, preserving order. It
-// stops feeding new queries when ctx is done; every query left unanswered
-// gets an explicit per-result error — a zero-value Result would read as a
+// runBatch answers queries in order on the calling goroutine, the
+// request's own (DESIGN.md, "One goroutine per batch"). ctx is checked
+// before each query; once it is done, every query left unanswered gets
+// an explicit per-result error — a zero-value Result would read as a
 // legitimate empty answer, silently truncating the batch — and the count
 // of those is returned so callers can surface and meter the truncation.
 func (s *Server) runBatch(ctx context.Context, b *backend, ix delta.Index, tag string, queries []Query) ([]Result, int) {
 	results := make([]Result, len(queries))
-	workers := s.opts.BatchWorkers
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = s.exec(b, ix, tag, queries[i])
+	for i, q := range queries {
+		if err := ctx.Err(); err != nil {
+			msg := fmt.Sprintf("server: unanswered, batch canceled after %d/%d queries: %v",
+				i, len(queries), err)
+			for j := i; j < len(queries); j++ {
+				results[j] = Result{Err: msg}
 			}
-		}()
-	}
-	unanswered := 0
-	for i := range queries {
-		// select picks at random among ready cases, so a done ctx is
-		// checked before each offer; the select still catches a cancel
-		// that lands while the send waits for a worker.
-		if ctx.Err() == nil {
-			select {
-			case next <- i:
-				continue
-			case <-ctx.Done():
-			}
+			return results, len(queries) - i
 		}
-		// Queries i.. were never handed to a worker; the marked tail is
-		// disjoint from the indices workers write, so no race.
-		msg := fmt.Sprintf("server: unanswered, batch canceled after %d/%d queries: %v",
-			i, len(queries), ctx.Err())
-		for j := i; j < len(queries); j++ {
-			results[j] = Result{Err: msg}
-		}
-		unanswered = len(queries) - i
-		break
+		results[i] = s.exec(b, ix, tag, q)
 	}
-	close(next)
-	wg.Wait()
-	return results, unanswered
+	return results, 0
 }
 
 // Handler returns the HTTP handler for the service.

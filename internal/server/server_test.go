@@ -145,7 +145,7 @@ func TestQueryEndpointsByteIdentical(t *testing.T) {
 // match direct Index calls, and the second — every list answer served by
 // the answer cache — must be byte-identical to the first.
 func TestBatchMatchesDirectCalls(t *testing.T) {
-	s, ix, ts := newTestServer(t, Options{BatchWorkers: 4})
+	s, ix, ts := newTestServer(t, Options{})
 	rng := rand.New(rand.NewSource(5))
 	var queries []Query
 	var want []string // expected ids encoding, or "alias:<bool>"
@@ -212,7 +212,7 @@ func TestBatchMatchesDirectCalls(t *testing.T) {
 // against direct Index calls — this is the test that pins down concurrent
 // reader safety of core.Index end to end.
 func TestConcurrentMixedQueries(t *testing.T) {
-	_, ix, ts := newTestServer(t, Options{BatchWorkers: 4})
+	_, ix, ts := newTestServer(t, Options{})
 	var wg sync.WaitGroup
 	errc := make(chan error, 16)
 	for w := 0; w < 8; w++ {
@@ -371,7 +371,7 @@ func TestBatchTimeout(t *testing.T) {
 // must be answered or explicitly marked, the marks must be a contiguous
 // tail, and the count must match the reported unanswered total.
 func TestBatchCancelMarksUnanswered(t *testing.T) {
-	s, _, _ := newTestServer(t, Options{BatchWorkers: 2})
+	s, _, _ := newTestServer(t, Options{})
 	b, h, err := s.resolve(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
@@ -502,42 +502,6 @@ func TestServeAndGracefulShutdown(t *testing.T) {
 	}
 	if err := <-done; err != http.ErrServerClosed {
 		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
-	}
-}
-
-func TestRunBench(t *testing.T) {
-	_, ix, ts := newTestServer(t, Options{})
-	var base []int
-	for p := 0; p < ix.NumPointers; p++ {
-		if len(ix.ListPointsTo(p)) > 0 {
-			base = append(base, p)
-		}
-	}
-	report, err := RunBench(context.Background(), BenchOptions{
-		URL:         ts.URL,
-		Base:        base,
-		NumObjects:  ix.NumObjects,
-		Requests:    20,
-		BatchSize:   50,
-		Concurrency: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Queries != 20*50 {
-		t.Fatalf("queries = %d, want 1000", report.Queries)
-	}
-	if report.Failed != 0 || report.QueryErrors != 0 {
-		t.Fatalf("failed=%d queryErrors=%d, want 0", report.Failed, report.QueryErrors)
-	}
-	if report.Throughput() <= 0 {
-		t.Fatalf("throughput = %f", report.Throughput())
-	}
-	if report.Latency.Count != 20 {
-		t.Fatalf("latency count = %d, want 20", report.Latency.Count)
-	}
-	if report.String() == "" {
-		t.Fatal("empty report")
 	}
 }
 

@@ -672,10 +672,7 @@ func (s *Store) refreshEntry(e *entry) error {
 	// the steady state (nothing rewritten) costs one read and no load.
 	raw, err := os.ReadFile(e.path)
 	if err != nil {
-		s.mu.Lock()
-		e.loadErr = err.Error()
-		s.mu.Unlock()
-		return fmt.Errorf("store: refreshing %q: %w", e.name, err)
+		return s.failed(e, err, "store: refreshing %q", e.name)
 	}
 	if sha256.Sum256(raw) == old.sum {
 		// The base is unchanged; new delta segments next to it extend the
@@ -690,39 +687,19 @@ func (s *Store) refreshEntry(e *entry) error {
 	start := time.Now()
 	gen, info, err := s.load(e.path)
 	if err != nil {
-		s.mu.Lock()
-		e.loadErr = err.Error()
-		s.mu.Unlock()
-		return fmt.Errorf("store: re-loading %q from %s: %w", e.name, e.path, err)
-	}
-
-	s.mu.Lock()
-	if e.gen != old { // swapped or evicted while we loaded; discard ours
-		s.mu.Unlock()
-		gen.free()
-		return nil
+		return s.failed(e, err, "store: re-loading %q from %s", e.name, e.path)
 	}
 	if gen.sum == old.sum { // the file raced back to the old content
-		s.mu.Unlock()
 		gen.free()
 		return nil
 	}
-	old.retired = true
-	if old.refs == 0 {
-		s.total -= old.bytes
-		old.free()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.installLocked(e, old, gen, info) {
+		e.swaps.Add(1)
+		e.loads.Add(1)
+		e.loadLat.Observe(time.Since(start))
 	}
-	e.gen = gen
-	e.genSeq++
-	e.loadErr = ""
-	e.info = info
-	e.swaps.Add(1)
-	e.loads.Add(1)
-	e.loadLat.Observe(time.Since(start))
-	s.total += gen.bytes
-	s.lru.MoveToFront(e.elem)
-	s.evictLocked()
-	s.mu.Unlock()
 	return nil
 }
 
@@ -751,20 +728,30 @@ func (s *Store) extendEntry(e *entry, old *generation) error {
 	start := time.Now()
 	vx, err := old.vx.Extend(fresh...)
 	if err != nil {
-		s.mu.Lock()
-		e.loadErr = err.Error()
-		s.mu.Unlock()
-		return fmt.Errorf("store: applying deltas to %q: %w", e.name, err)
+		return s.failed(e, err, "store: applying deltas to %q", e.name)
 	}
 	gen := &generation{ix: vx.Head(), vx: vx, sum: old.sum, bytes: vx.Head().MemoryFootprint()}
 	gen.tag = fileTag(gen.sum, gen.stamp())
 	info := genDims(gen, chain.Broken)
 
 	s.mu.Lock()
-	if e.gen != old { // swapped or evicted while we applied; discard ours
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.installLocked(e, old, gen, info) {
+		e.applies.Add(1)
+		e.applyLat.Observe(time.Since(start))
+	}
+	return nil
+}
+
+// installLocked makes gen, built from old, the current generation of e:
+// old is retired and freed once no handle pins it, gen is charged to the
+// budget, e moves to the LRU front, and eviction runs. If e no longer
+// serves old — swapped or evicted while gen was built — gen is freed
+// instead and installLocked reports false. Called with s.mu held.
+func (s *Store) installLocked(e *entry, old, gen *generation, info dims) bool {
+	if e.gen != old {
 		gen.free()
-		return nil
+		return false
 	}
 	old.retired = true
 	if old.refs == 0 {
@@ -775,13 +762,19 @@ func (s *Store) extendEntry(e *entry, old *generation) error {
 	e.genSeq++
 	e.loadErr = ""
 	e.info = info
-	e.applies.Add(1)
-	e.applyLat.Observe(time.Since(start))
 	s.total += gen.bytes
 	s.lru.MoveToFront(e.elem)
 	s.evictLocked()
+	return true
+}
+
+// failed records err as e's last load error, the one /debug/store
+// reports, and returns it wrapped in the message format and args give.
+func (s *Store) failed(e *entry, err error, format string, args ...any) error {
+	s.mu.Lock()
+	e.loadErr = err.Error()
 	s.mu.Unlock()
-	return nil
+	return fmt.Errorf(format+": %w", append(args, err)...)
 }
 
 // EntryInfo is the monitoring snapshot of one catalog entry.

@@ -350,6 +350,30 @@ func TestLoadErrorsSurfaceAndRecover(t *testing.T) {
 	if st := s.Snapshot(); st.Backends[0].LastError != "" {
 		t.Fatalf("stale load error %q after recovery", st.Backends[0].LastError)
 	}
+
+	// A refresh that cannot re-load the rewritten file surfaces the error
+	// and keeps serving the loaded generation; the next good swap clears it.
+	writePes(t, path, []byte("garbage again"))
+	if err := s.Refresh(); err == nil {
+		t.Fatal("refresh of a corrupt file succeeded")
+	}
+	if st := s.Snapshot(); st.Backends[0].LastError == "" || st.Swaps != 0 {
+		t.Fatalf("failed refresh: last error %q, %d swaps", st.Backends[0].LastError, st.Swaps)
+	}
+	raw2, ref2 := pesBytes(t, 51, 45, 12, 140)
+	writePes(t, path, raw2)
+	if err := s.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Snapshot(); st.Backends[0].LastError != "" || st.Swaps != 1 {
+		t.Fatalf("after a good swap: last error %q, %d swaps", st.Backends[0].LastError, st.Swaps)
+	}
+	h, err = s.Acquire(context.Background(), "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswers(t, h.Index(), ref2)
+	h.Release()
 }
 
 func TestBackgroundReloader(t *testing.T) {

@@ -291,15 +291,15 @@ var (
 // --- query service (cmd/pestrie serve) ---------------------------------
 
 // QueryServer serves the indexes of one Store as a concurrent HTTP/JSON
-// query service: the four Table-1 queries plus a batch endpoint answered
-// by a worker pool, with per-backend counters, latency histograms, and
-// answer-cache counters at /debug/stats and the store's lifecycle at
-// /debug/store. Served answers, cached ones included, are byte-identical
-// to direct Index calls.
+// query service: the four Table-1 queries plus a batch endpoint, each
+// batch answered in order on its request's goroutine, with per-backend
+// counters, latency histograms, and answer-cache counters at /debug/stats
+// and the store's lifecycle at /debug/store. Served answers, cached ones
+// included, are byte-identical to direct Index calls.
 type QueryServer = server.Server
 
-// QueryServerOptions tune request timeouts, the batch worker pool, and
-// the batch size limit, and name the Store to serve; the zero value
+// QueryServerOptions tune the request timeout and the batch size limit,
+// name the Store to serve, and can mount net/http/pprof; the zero value
 // selects sensible defaults and an unbudgeted store of the server's own.
 type QueryServerOptions = server.Options
 
