@@ -27,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"pestrie/internal/bitset"
 	"pestrie/internal/exper"
 )
 
@@ -40,7 +39,6 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("benchtables", flag.ContinueOnError)
-	bitset.Flag(fs)
 	table := fs.String("table", "all", "which experiment: 2 | fig1 | 7 | 8 | fig7 | ablation | build | anders | all")
 	scale := fs.Float64("scale", 0.01, "benchmark scale vs the paper's sizes")
 	presets := fs.String("presets", "", "comma-separated preset names (default: all 12)")

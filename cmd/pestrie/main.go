@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"pestrie"
-	"pestrie/internal/bitset"
 	"pestrie/internal/core"
 	"pestrie/internal/delta"
 	"pestrie/internal/perf"
@@ -259,7 +258,6 @@ func readMatrixFile(path string) (*pestrie.Matrix, error) {
 // store applies the new segment on its next refresh.
 func deltaCmd(args []string) error {
 	fs := flag.NewFlagSet("delta", flag.ExitOnError)
-	bitset.Flag(fs)
 	base := fs.String("base", "", "served base file (.pes) the segment chains onto")
 	newPM := fs.String("new", "", "matrix file (.ptm) holding the updated facts")
 	out := fs.String("out", "", "output segment path (default: the next stamp next to -base)")
@@ -325,7 +323,6 @@ func deltaCmd(args []string) error {
 // what CI checks.
 func compact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
-	bitset.Flag(fs)
 	in := fs.String("in", "", "base file (.pes) whose delta chain to fold in")
 	out := fs.String("out", "", "output persistent file (.pes)")
 	gen := fs.Uint64("gen", 0, "generation to compact through (0 = chain head)")
@@ -388,7 +385,6 @@ func compact(args []string) error {
 // for the encoding pipeline.
 func verify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	bitset.Flag(fs)
 	pes := fs.String("pes", "", "persistent file (.pes)")
 	ptm := fs.String("ptm", "", "original matrix file (.ptm)")
 	fs.Parse(args)
@@ -420,7 +416,6 @@ func verify(args []string) error {
 
 func encode(args []string) error {
 	fs := flag.NewFlagSet("encode", flag.ExitOnError)
-	bitset.Flag(fs)
 	in := fs.String("in", "", "input matrix file (.ptm)")
 	facts := fs.String("facts", "", "input text facts file (pointer object per line) instead of -in")
 	out := fs.String("out", "", "output persistent file (.pes)")

@@ -25,7 +25,6 @@ import (
 	"os"
 
 	"pestrie"
-	"pestrie/internal/bitset"
 	"pestrie/internal/delta"
 	"pestrie/internal/ir"
 	"pestrie/internal/perf"
@@ -69,7 +68,6 @@ func usage() {
 // recording the name↔ID tables.
 func importFacts(args []string) error {
 	fs := flag.NewFlagSet("import", flag.ExitOnError)
-	bitset.Flag(fs)
 	in := fs.String("in", "", "input facts file (pointer object per line)")
 	out := fs.String("out", "", "output matrix file (.ptm)")
 	names := fs.String("names", "", "optional output file mapping IDs to names")
@@ -132,7 +130,6 @@ func writeMatrix(pm *pestrie.Matrix, path string) error {
 
 func preset(args []string) error {
 	fs := flag.NewFlagSet("preset", flag.ExitOnError)
-	bitset.Flag(fs)
 	name := fs.String("name", "", "preset name (see: ptagen list)")
 	scale := fs.Float64("scale", 0.01, "scale factor vs the paper's sizes")
 	out := fs.String("out", "", "output matrix file (.ptm)")
@@ -149,7 +146,6 @@ func preset(args []string) error {
 
 func analyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
-	bitset.Flag(fs)
 	irPath := fs.String("ir", "", "pointer-IR source file")
 	clone := fs.Int("clone", 0, "k-callsite cloning depth (0 = context-insensitive)")
 	workers := fs.Int("j", 0, "solver worker count (0 = GOMAXPROCS); the matrix is identical for any value")
@@ -260,7 +256,6 @@ func random(args []string) error {
 // the whole file set reproduces bit for bit.
 func mutate(args []string) error {
 	fs := flag.NewFlagSet("mutate", flag.ExitOnError)
-	bitset.Flag(fs)
 	presetName := fs.String("preset", "", "base preset name (see: ptagen list)")
 	scale := fs.Float64("scale", 0.01, "preset scale factor")
 	in := fs.String("in", "", "base matrix file (.ptm) instead of -preset")

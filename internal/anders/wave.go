@@ -49,10 +49,10 @@ type waveSolver struct {
 	rounds  int
 
 	// Per-representative state (nil for merged-away nodes).
-	pts       []bitset.Set // current points-to set
-	done      []bitset.Set // portion of pts already propagated to successors
-	dif       []bitset.Set // this wave's delta, pulled by successors
-	derefDone []bitset.Set // portion of pts already expanded into deref edges
+	pts       []*bitset.Set // current points-to set
+	done      []*bitset.Set // portion of pts already propagated to successors
+	dif       []*bitset.Set // this wave's delta, pulled by successors
+	derefDone []*bitset.Set // portion of pts already expanded into deref edges
 
 	// clean[v] records that done[v] == pts[v] when the last wave finished
 	// processing v. A clean node whose pulls all report no change can
@@ -60,7 +60,7 @@ type waveSolver struct {
 	// Collapse invalidates the flag for merge targets (their done set is
 	// intersected).
 	clean    []bool
-	emptyDif bitset.Set // shared read-only delta for unchanged clean nodes
+	emptyDif *bitset.Set // shared read-only delta for unchanged clean nodes
 
 	succ    [][]nodeID // copy edges, sorted unique representative IDs
 	newSucc [][]nodeID // subset of succ added since the last wave
@@ -78,10 +78,10 @@ func newWaveSolver(s *solver, workers int) *waveSolver {
 		s:         s,
 		uf:        newUnionFind(n),
 		workers:   workers,
-		pts:       make([]bitset.Set, n),
-		done:      make([]bitset.Set, n),
-		dif:       make([]bitset.Set, n),
-		derefDone: make([]bitset.Set, n),
+		pts:       make([]*bitset.Set, n),
+		done:      make([]*bitset.Set, n),
+		dif:       make([]*bitset.Set, n),
+		derefDone: make([]*bitset.Set, n),
 		clean:     make([]bool, n),
 		emptyDif:  bitset.New(),
 		succ:      make([][]nodeID, n),
@@ -348,11 +348,11 @@ func (w *waveSolver) addDerefEdges() bool {
 	// the round costs set-insertions rather than an O(E log E) sort.
 	n := len(w.pts)
 	bounds := par.ChunkBounds(len(deref), w.workers)
-	chunkTargets := make([][]bitset.Set, len(bounds)-1)
+	chunkTargets := make([][]*bitset.Set, len(bounds)-1)
 	chunkTouched := make([][]nodeID, len(bounds)-1)
 	scan := func(lo, hi int) {
 		ci, _ := slices.BinarySearch(bounds, lo)
-		targets := make([]bitset.Set, n)
+		targets := make([]*bitset.Set, n)
 		var touched []nodeID
 		for _, v := range deref[lo:hi] {
 			delta := w.pts[v].Copy()

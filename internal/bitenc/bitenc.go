@@ -4,6 +4,9 @@
 // equivalent pointers and objects. Queries are answered directly from the
 // bitmaps, so IsAlias costs a bitmap bit-lookup — O(n) through the linked
 // block list — while ListAliases is a pre-computed row expansion.
+//
+// The rows are GCC-style linked bitmaps (internal/bitmap), the structure
+// the paper measures, whatever set type the rest of the pipeline uses.
 package bitenc
 
 import (
@@ -12,6 +15,7 @@ import (
 	"fmt"
 	"io"
 
+	"pestrie/internal/bitmap"
 	"pestrie/internal/matrix"
 	"pestrie/internal/safeio"
 )
@@ -22,7 +26,9 @@ const (
 )
 
 // Encoding is the in-memory BitP structure: class-compressed PM, its
-// transpose, and the class-level alias matrix.
+// transpose, and the class-level alias matrix. Every row is allocated; an
+// empty row holds no block. Queries are not safe for concurrent use: a
+// bitmap lookup moves the row's block cache, as in GCC.
 type Encoding struct {
 	NumPointers int
 	NumObjects  int
@@ -32,9 +38,9 @@ type Encoding struct {
 	ptrMembers [][]int32
 	objMembers [][]int32
 
-	pm  *matrix.PointsTo // pointer-class × object-class
-	pmt *matrix.PointsTo // object-class × pointer-class
-	am  *matrix.PointsTo // pointer-class × pointer-class
+	pm  []*bitmap.Sparse // pointer class -> object classes
+	pmt []*bitmap.Sparse // object class -> pointer classes
+	am  []*bitmap.Sparse // pointer class -> pointer classes
 }
 
 // Encode builds the BitP encoding of pm: detect pointer and object
@@ -52,22 +58,31 @@ func Encode(pm *matrix.PointsTo) *Encoding {
 	}
 	e.buildMembers()
 
-	cpm := matrix.New(nPtrClasses, nObjClasses)
-	seen := make([]bool, nPtrClasses)
+	e.pm = make([]*bitmap.Sparse, nPtrClasses)
 	for p := 0; p < pm.NumPointers; p++ {
 		c := ptrClassOf[p]
-		if seen[c] {
+		if e.pm[c] != nil {
 			continue
 		}
-		seen[c] = true
+		row := bitmap.New()
 		pm.Row(p).ForEach(func(o int) bool {
-			cpm.Add(c, objClassOf[o])
+			row.Set(objClassOf[o])
 			return true
 		})
+		e.pm[c] = row
 	}
-	e.pm = cpm
-	e.pmt = cpm.Transpose()
-	e.am = cpm.AliasMatrixWith(e.pmt)
+	// AM's row for class c is the union of the PMT rows of the object
+	// classes c points to (§2.1).
+	e.pmt = bitmap.Transpose(e.pm, nObjClasses)
+	e.am = make([]*bitmap.Sparse, nPtrClasses)
+	for c, r := range e.pm {
+		row := bitmap.New()
+		r.ForEach(func(o int) bool {
+			row.Or(e.pmt[o])
+			return true
+		})
+		e.am[c] = row
+	}
 	return e
 }
 
@@ -99,7 +114,7 @@ func (e *Encoding) IsAlias(p, q int) bool {
 	if p < 0 || p >= e.NumPointers || q < 0 || q >= e.NumPointers {
 		return false
 	}
-	return e.am.Has(e.ptrClassOf[p], e.ptrClassOf[q])
+	return e.am[e.ptrClassOf[p]].Test(e.ptrClassOf[q])
 }
 
 // ListAliases returns the pointers aliased to p, excluding p itself.
@@ -108,7 +123,7 @@ func (e *Encoding) ListAliases(p int) []int {
 		return nil
 	}
 	var out []int
-	e.am.Row(e.ptrClassOf[p]).ForEach(func(c int) bool {
+	e.am[e.ptrClassOf[p]].ForEach(func(c int) bool {
 		for _, q := range e.ptrMembers[c] {
 			if int(q) != p {
 				out = append(out, int(q))
@@ -125,7 +140,7 @@ func (e *Encoding) ListPointsTo(p int) []int {
 		return nil
 	}
 	var out []int
-	e.pm.Row(e.ptrClassOf[p]).ForEach(func(c int) bool {
+	e.pm[e.ptrClassOf[p]].ForEach(func(c int) bool {
 		for _, o := range e.objMembers[c] {
 			out = append(out, int(o))
 		}
@@ -140,7 +155,7 @@ func (e *Encoding) ListPointedBy(o int) []int {
 		return nil
 	}
 	var out []int
-	e.pmt.Row(e.objClassOf[o]).ForEach(func(c int) bool {
+	e.pmt[e.objClassOf[o]].ForEach(func(c int) bool {
 		for _, q := range e.ptrMembers[c] {
 			out = append(out, int(q))
 		}
@@ -149,15 +164,27 @@ func (e *Encoding) ListPointedBy(o int) []int {
 	return out
 }
 
+// Footprint model of a linked row: 40 bytes per 128-bit block, index and
+// two words plus next pointer and allocator overhead (GCC's element size
+// ballpark), which also absorbs the row's own header. A row with no block
+// has nothing to absorb its header into, so it is charged one.
+const (
+	blockBytes    = 40
+	emptyRowBytes = 48
+)
+
 // MemoryFootprint estimates the resident size of the query structure in
-// bytes, dominated by the row sets (for the linked substrate ~40 bytes per
-// 128-bit block including list overhead, matching GCC's element size
-// ballpark; for the flat substrate the word arrays themselves).
+// bytes: the linked blocks of PM, PMT and AM, an empty row's header, and
+// 8 bytes per class-map entry.
 func (e *Encoding) MemoryFootprint() int64 {
 	var rows int64
-	for _, m := range []*matrix.PointsTo{e.pm, e.pmt, e.am} {
-		for r := 0; r < m.NumPointers; r++ {
-			rows += m.Row(r).Bytes()
+	for _, m := range [][]*bitmap.Sparse{e.pm, e.pmt, e.am} {
+		for _, r := range m {
+			if n := r.Blocks(); n > 0 {
+				rows += int64(n) * blockBytes
+			} else {
+				rows += emptyRowBytes
+			}
 		}
 	}
 	return rows + int64(len(e.ptrClassOf)+len(e.objClassOf))*8
@@ -196,12 +223,17 @@ func (e *Encoding) WriteTo(w io.Writer) (int64, error) {
 			return written, err
 		}
 	}
-	for _, m := range []*matrix.PointsTo{e.pm, e.am} {
-		k, err := m.WriteTo(bw)
-		written += k
-		if err != nil {
-			return written, err
-		}
+	// PM is pointer classes × object classes (PMT has a row per object
+	// class), and AM is square over pointer classes.
+	k, err := matrix.WriteRows(bw, e.pm, len(e.pmt))
+	written += k
+	if err != nil {
+		return written, err
+	}
+	k, err = matrix.WriteRows(bw, e.am, len(e.am))
+	written += k
+	if err != nil {
+		return written, err
 	}
 	return written, bw.Flush()
 }
@@ -269,10 +301,11 @@ func Load(r io.Reader) (*Encoding, error) {
 		}
 		e.objClassOf = append(e.objClassOf, c)
 	}
-	if e.pm, err = matrix.Read(br); err != nil {
+	var pmObjs, amCols int
+	if e.pm, pmObjs, err = matrix.ReadRows(br, bitmap.ReadSparse); err != nil {
 		return nil, fmt.Errorf("bitenc: PM: %w", err)
 	}
-	if e.am, err = matrix.Read(br); err != nil {
+	if e.am, amCols, err = matrix.ReadRows(br, bitmap.ReadSparse); err != nil {
 		return nil, fmt.Errorf("bitenc: AM: %w", err)
 	}
 	// Encode numbers classes densely, so the class matrices must agree
@@ -290,15 +323,15 @@ func Load(r io.Reader) (*Encoding, error) {
 			nObj = c + 1
 		}
 	}
-	if e.pm.NumPointers != nPtr || e.pm.NumObjects != nObj {
+	if len(e.pm) != nPtr || pmObjs != nObj {
 		return nil, fmt.Errorf("bitenc: class PM is %d×%d but class maps define %d×%d classes",
-			e.pm.NumPointers, e.pm.NumObjects, nPtr, nObj)
+			len(e.pm), pmObjs, nPtr, nObj)
 	}
-	if e.am.NumPointers != nPtr || e.am.NumObjects != nPtr {
+	if len(e.am) != nPtr || amCols != nPtr {
 		return nil, fmt.Errorf("bitenc: AM is %d×%d, want %d×%d over pointer classes",
-			e.am.NumPointers, e.am.NumObjects, nPtr, nPtr)
+			len(e.am), amCols, nPtr, nPtr)
 	}
-	e.pmt = e.pm.Transpose()
+	e.pmt = bitmap.Transpose(e.pm, nObj)
 	e.buildMembers()
 	return e, nil
 }

@@ -97,11 +97,11 @@ func TestEquivalenceCompression(t *testing.T) {
 		}
 	}
 	e := Encode(pm)
-	if e.pm.NumPointers != 2 {
-		t.Fatalf("class PM has %d rows, want 2", e.pm.NumPointers)
+	if len(e.pm) != 2 {
+		t.Fatalf("class PM has %d rows, want 2", len(e.pm))
 	}
-	if e.pm.NumObjects != 2 { // objects merge pairwise too
-		t.Fatalf("class PM has %d columns, want 2", e.pm.NumObjects)
+	if len(e.pmt) != 2 { // objects merge pairwise too
+		t.Fatalf("class PM has %d columns, want 2", len(e.pmt))
 	}
 	if !matches(e, pm) {
 		t.Fatal("compressed encoding wrong")

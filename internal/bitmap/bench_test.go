@@ -57,8 +57,9 @@ func BenchmarkIntersects(b *testing.B) {
 
 func BenchmarkSerialize(b *testing.B) {
 	s, _ := benchSets(4096, 1<<18, 5)
+	var buf []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.EncodedSize()
+		buf = s.AppendTo(buf[:0])
 	}
 }

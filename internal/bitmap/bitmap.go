@@ -413,8 +413,8 @@ func (s *Sparse) Max() int {
 // bucketing equal sets (used by equivalence-class detection). It walks the
 // blocks directly — no member slice, no closures — so hashing a row never
 // allocates, which matters when equivalence-class detection hashes every
-// matrix row. internal/bitset replicates this scheme exactly so both
-// substrates hash identical contents identically.
+// matrix row. internal/bitset replicates this scheme exactly, so a
+// bitset.Set with the same members hashes identically.
 func (s *Sparse) Hash() uint64 {
 	const (
 		offset = 1469598103934665603
@@ -448,4 +448,22 @@ func FromSlice(members []int) *Sparse {
 		s.Set(m)
 	}
 	return s
+}
+
+// Transpose returns the width rows of the transpose of rows: row o of the
+// result holds every i with o ∈ rows[i]. Every output row is allocated, so
+// callers never meet a nil row. The BitP and demand baselines derive their
+// pointed-by rows with it.
+func Transpose(rows []*Sparse, width int) []*Sparse {
+	out := make([]*Sparse, width)
+	for o := range out {
+		out[o] = New()
+	}
+	for i, r := range rows {
+		r.ForEach(func(o int) bool {
+			out[o].Set(i) // i ascends, so the block cache makes Set O(1)
+			return true
+		})
+	}
+	return out
 }

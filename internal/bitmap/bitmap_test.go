@@ -239,18 +239,12 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 	for _, members := range cases {
 		s := FromSlice(members)
-		var buf bytes.Buffer
-		n, err := s.WriteTo(&buf)
-		if err != nil {
-			t.Fatalf("WriteTo: %v", err)
+		prefix := []byte{0xAA}
+		enc := s.AppendTo(prefix)
+		if enc[0] != 0xAA {
+			t.Fatal("AppendTo overwrote the bytes it appends to")
 		}
-		if n != int64(buf.Len()) {
-			t.Errorf("WriteTo returned %d bytes, buffer has %d", n, buf.Len())
-		}
-		if s.EncodedSize() != n {
-			t.Errorf("EncodedSize = %d, want %d", s.EncodedSize(), n)
-		}
-		got, err := ReadSparse(bufio.NewReader(&buf))
+		got, err := ReadSparse(bytes.NewReader(enc[1:]))
 		if err != nil {
 			t.Fatalf("ReadSparse: %v", err)
 		}
@@ -262,11 +256,8 @@ func TestSerializationRoundTrip(t *testing.T) {
 
 func TestReadFromTruncated(t *testing.T) {
 	s := FromSlice([]int{1, 2, 3})
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-1]
+	enc := s.AppendTo(nil)
+	trunc := enc[:len(enc)-1]
 	var got Sparse
 	if err := got.ReadFrom(bufio.NewReader(bytes.NewReader(trunc))); err == nil {
 		t.Fatal("ReadFrom accepted truncated input")
@@ -402,11 +393,7 @@ func TestQuickSerialization(t *testing.T) {
 		for _, v := range vals {
 			s.Set(int(v))
 		}
-		var buf bytes.Buffer
-		if _, err := s.WriteTo(&buf); err != nil {
-			return false
-		}
-		got, err := ReadSparse(bufio.NewReader(&buf))
+		got, err := ReadSparse(bytes.NewReader(s.AppendTo(nil)))
 		if err != nil {
 			return false
 		}

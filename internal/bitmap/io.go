@@ -1,7 +1,6 @@
 package bitmap
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,30 +11,17 @@ import (
 // on-disk row format used by the bitmap persistence baseline (§7.1.2): it is
 // compact for clustered sets and decodes in a single linear pass.
 
-// WriteTo writes the set to w as a varint count followed by delta-varint
-// members. It returns the number of bytes written.
-func (s *Sparse) WriteTo(w io.Writer) (int64, error) {
-	var buf [binary.MaxVarintLen64]byte
-	var written int64
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		k, err := w.Write(buf[:n])
-		written += int64(k)
-		return err
-	}
-	if err := put(uint64(s.Count())); err != nil {
-		return written, err
-	}
+// AppendTo appends the set's coding to b: a varint count followed by
+// delta-varint members.
+func (s *Sparse) AppendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(s.Count()))
 	prev := 0
-	var ferr error
 	s.ForEach(func(i int) bool {
-		if ferr = put(uint64(i - prev)); ferr != nil {
-			return false
-		}
+		b = binary.AppendUvarint(b, uint64(i-prev))
 		prev = i
 		return true
 	})
-	return written, ferr
+	return b
 }
 
 // maxBit bounds decoded member indexes. It is far above any plausible
@@ -43,8 +29,7 @@ func (s *Sparse) WriteTo(w io.Writer) (int64, error) {
 // accumulated index would otherwise overflow int and panic in Set.
 const maxBit = 1 << 32
 
-// ReadFrom replaces the contents of s with a set previously written by
-// WriteTo.
+// ReadFrom replaces the contents of s with a set coded by AppendTo.
 func (s *Sparse) ReadFrom(r io.ByteReader) error {
 	s.first, s.current, s.prev = nil, nil, nil
 	n, err := binary.ReadUvarint(r)
@@ -66,20 +51,8 @@ func (s *Sparse) ReadFrom(r io.ByteReader) error {
 	return nil
 }
 
-// EncodedSize returns the number of bytes WriteTo would emit, without
-// performing any I/O.
-func (s *Sparse) EncodedSize() int64 {
-	cw := countingWriter{}
-	n, _ := s.WriteTo(&cw)
-	return n
-}
-
-type countingWriter struct{}
-
-func (countingWriter) Write(p []byte) (int, error) { return len(p), nil }
-
 // ReadSparse reads one serialized set from r.
-func ReadSparse(r *bufio.Reader) (*Sparse, error) {
+func ReadSparse(r io.ByteReader) (*Sparse, error) {
 	s := New()
 	if err := s.ReadFrom(r); err != nil {
 		return nil, err

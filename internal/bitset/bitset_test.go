@@ -1,7 +1,6 @@
 package bitset
 
 import (
-	"bufio"
 	"bytes"
 	"math/rand"
 	"testing"
@@ -12,11 +11,11 @@ import (
 // pair couples a set under test with a bitmap.Sparse reference holding the
 // same members, so every operation can be checked differentially.
 type pair struct {
-	got Set
+	got *Set
 	ref *bitmap.Sparse
 }
 
-func newPair(mk func() Set) pair { return pair{got: mk(), ref: bitmap.New()} }
+func newPair() pair { return pair{got: New(), ref: bitmap.New()} }
 
 func (p pair) check(t *testing.T, label string) {
 	t.Helper()
@@ -37,9 +36,6 @@ func (p pair) check(t *testing.T, label string) {
 	if g, w := p.got.Empty(), p.ref.Empty(); g != w {
 		t.Fatalf("%s: Empty: got %v, want %v", label, g, w)
 	}
-	if g, w := p.got.Min(), p.ref.Min(); g != w {
-		t.Fatalf("%s: Min: got %d, want %d", label, g, w)
-	}
 	if g, w := p.got.Max(), p.ref.Max(); g != w {
 		t.Fatalf("%s: Max: got %d, want %d", label, g, w)
 	}
@@ -49,24 +45,23 @@ func (p pair) check(t *testing.T, label string) {
 	}
 }
 
-// TestDifferentialOps drives randomized op sequences over two sets per
-// substrate and checks every observable against bitmap.Sparse.
+// TestDifferentialOps drives randomized op sequences over two sets and
+// checks every observable against bitmap.Sparse, once per representation:
+// tight universes drive the sets onto the flat word array, a wide one
+// keeps them in the sorted member array.
 func TestDifferentialOps(t *testing.T) {
-	substrates := []struct {
-		name string
-		mk   func() Set
+	for _, regime := range []struct {
+		name      string
+		universes []int
 	}{
-		{"flat", func() Set { return NewFlat() }},
-		{"linked", func() Set { return NewLinked() }},
-	}
-	for _, sub := range substrates {
-		t.Run(sub.name, func(t *testing.T) {
+		{"flat", []int{70, 300, 5000}},
+		{"sorted", []int{1 << 20}},
+	} {
+		t.Run(regime.name, func(t *testing.T) {
 			for seed := int64(0); seed < 30; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				// Mix of tight and wide universes exercises both the
-				// sorted-array and promoted word representations.
-				universe := []int{70, 300, 5000, 1 << 20}[seed%4]
-				a, b := newPair(sub.mk), newPair(sub.mk)
+				universe := regime.universes[int(seed)%len(regime.universes)]
+				a, b := newPair(), newPair()
 				for step := 0; step < 400; step++ {
 					x, y := &a, &b
 					if rng.Intn(2) == 0 {
@@ -114,25 +109,23 @@ func TestDifferentialOps(t *testing.T) {
 // contract: OrChanged returns true exactly when the receiver's cardinality
 // grew.
 func TestOrChangedCountDelta(t *testing.T) {
-	for _, mk := range []func() Set{func() Set { return NewFlat() }, func() Set { return NewLinked() }} {
-		for seed := int64(0); seed < 20; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			universe := []int{90, 2000, 1 << 18}[seed%3]
-			dst := mk()
-			for step := 0; step < 120; step++ {
-				src := mk()
-				for n := rng.Intn(50); n > 0; n-- {
-					src.Set(rng.Intn(universe))
-				}
-				before := dst.Count()
-				changed := dst.OrChanged(src)
-				after := dst.Count()
-				if changed != (after > before) {
-					t.Fatalf("seed %d step %d: OrChanged=%v but count %d -> %d", seed, step, changed, before, after)
-				}
-				if !changed && dst.OrChanged(src) {
-					t.Fatalf("seed %d step %d: second OrChanged of same src reported a change", seed, step)
-				}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		universe := []int{90, 2000, 1 << 18}[seed%3]
+		dst := New()
+		for step := 0; step < 120; step++ {
+			src := New()
+			for n := rng.Intn(50); n > 0; n-- {
+				src.Set(rng.Intn(universe))
+			}
+			before := dst.Count()
+			changed := dst.OrChanged(src)
+			after := dst.Count()
+			if changed != (after > before) {
+				t.Fatalf("seed %d step %d: OrChanged=%v but count %d -> %d", seed, step, changed, before, after)
+			}
+			if !changed && dst.OrChanged(src) {
+				t.Fatalf("seed %d step %d: second OrChanged of same src reported a change", seed, step)
 			}
 		}
 	}
@@ -140,80 +133,30 @@ func TestOrChangedCountDelta(t *testing.T) {
 
 // TestSelfOps pins the aliasing cases: s op s.
 func TestSelfOps(t *testing.T) {
-	for _, mk := range []func() Set{func() Set { return NewFlat() }, func() Set { return NewLinked() }} {
-		s := mk()
-		for i := 0; i < 200; i += 3 {
-			s.Set(i)
-		}
-		if s.OrChanged(s) {
-			t.Fatal("s.OrChanged(s) reported a change")
-		}
-		s.And(s)
-		if s.Count() != 67 {
-			t.Fatalf("s.And(s) changed count: %d", s.Count())
-		}
-		if !s.Equal(s) || !s.Intersects(s) {
-			t.Fatal("s should equal and intersect itself")
-		}
-		s.AndNot(s)
-		if !s.Empty() {
-			t.Fatal("s.AndNot(s) should empty the set")
-		}
+	s := New()
+	for i := 0; i < 200; i += 3 {
+		s.Set(i)
+	}
+	if s.OrChanged(s) {
+		t.Fatal("s.OrChanged(s) reported a change")
+	}
+	s.And(s)
+	if s.Count() != 67 {
+		t.Fatalf("s.And(s) changed count: %d", s.Count())
+	}
+	if !s.Equal(s) || !s.Intersects(s) {
+		t.Fatal("s should equal and intersect itself")
+	}
+	s.AndNot(s)
+	if !s.Empty() {
+		t.Fatal("s.AndNot(s) should empty the set")
 	}
 }
 
-// TestCrossSubstrateOps checks the generic fallbacks when Flat and Linked
-// operands meet, in both directions.
-func TestCrossSubstrateOps(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		universe := []int{128, 4096}[seed%2]
-		f, l := Set(NewFlat()), Set(NewLinked())
-		ref := bitmap.New()
-		for n := 0; n < 150; n++ {
-			v := rng.Intn(universe)
-			f.Set(v)
-			l.Set(v)
-			ref.Set(v)
-		}
-		if !f.Equal(l) || !l.Equal(f) {
-			t.Fatal("equal-content cross-substrate sets not Equal")
-		}
-		if f.Hash() != l.Hash() || f.Hash() != ref.Hash() {
-			t.Fatal("cross-substrate hash mismatch")
-		}
-		if !f.Intersects(l) || !l.Intersects(f) {
-			t.Fatal("cross-substrate Intersects false negative")
-		}
-		other := NewLinked()
-		other.Set(universe + 5)
-		if f.OrChanged(other) != true || f.OrChanged(other) != false {
-			t.Fatal("cross-substrate OrChanged wrong")
-		}
-		if !f.Test(universe + 5) {
-			t.Fatal("cross-substrate Or lost a member")
-		}
-		f.AndNot(other)
-		if f.Test(universe + 5) {
-			t.Fatal("cross-substrate AndNot kept a member")
-		}
-		f.And(l)
-		if !f.Equal(ref2set(ref)) {
-			t.Fatal("cross-substrate And diverged")
-		}
-	}
-}
-
-func ref2set(ref *bitmap.Sparse) Set {
-	s := NewFlat()
-	ref.ForEach(func(i int) bool { s.Set(i); return true })
-	return s
-}
-
-// TestPromotionBoundary walks a Flat across the sorted-array/word-array
+// TestPromotionBoundary walks a Set across the sorted-array/word-array
 // boundary and back through clears.
 func TestPromotionBoundary(t *testing.T) {
-	f := NewFlat()
+	f := New()
 	ref := bitmap.New()
 	// Dense ascending run: must promote.
 	for i := 0; i < 4*sparseMin; i++ {
@@ -224,7 +167,7 @@ func TestPromotionBoundary(t *testing.T) {
 		t.Fatal("dense ascending run did not promote to the word array")
 	}
 	// Wide scatter on a fresh set: must stay sorted (density rule).
-	g := NewFlat()
+	g := New()
 	for i := 0; i < 3*sparseMin; i++ {
 		g.Set(i * 100000)
 	}
@@ -244,65 +187,39 @@ func TestPromotionBoundary(t *testing.T) {
 	}
 }
 
-// TestRoundTrip checks the wire format against bitmap's encoder for both
-// substrates.
+// TestRoundTrip checks the wire format against bitmap's encoder.
 func TestRoundTrip(t *testing.T) {
-	defer Use(FlatSubstrate)
-	for _, sub := range []Substrate{FlatSubstrate, LinkedSubstrate} {
-		Use(sub)
-		for seed := int64(0); seed < 10; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			s := New()
-			ref := bitmap.New()
-			for n := 0; n < 200; n++ {
-				v := rng.Intn(1 << uint(8+seed))
-				s.Set(v)
-				ref.Set(v)
-			}
-			var got, want bytes.Buffer
-			if _, err := Write(&got, s); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ref.WriteTo(&want); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("substrate %v: encoding differs from bitmap baseline", sub)
-			}
-			back, err := Read(bufio.NewReader(&got))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !back.Equal(s) {
-				t.Fatalf("substrate %v: round trip lost members", sub)
-			}
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		ref := bitmap.New()
+		for n := 0; n < 200; n++ {
+			v := rng.Intn(1 << uint(8+seed))
+			s.Set(v)
+			ref.Set(v)
 		}
-	}
-}
-
-func TestParseSubstrate(t *testing.T) {
-	if s, err := ParseSubstrate("flat"); err != nil || s != FlatSubstrate {
-		t.Fatalf("flat: %v %v", s, err)
-	}
-	if s, err := ParseSubstrate("linked"); err != nil || s != LinkedSubstrate {
-		t.Fatalf("linked: %v %v", s, err)
-	}
-	if _, err := ParseSubstrate("mmap"); err == nil {
-		t.Fatal("bogus substrate accepted")
-	}
-	if FlatSubstrate.String() != "flat" || LinkedSubstrate.String() != "linked" {
-		t.Fatal("substrate names wrong")
+		got := s.AppendTo(nil)
+		if !bytes.Equal(got, ref.AppendTo(nil)) {
+			t.Fatalf("seed %d: encoding differs from bitmap's", seed)
+		}
+		back, err := Read(bytes.NewReader(got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !back.Equal(s) {
+			t.Fatalf("seed %d: round trip lost members", seed)
+		}
 	}
 }
 
 // TestFlatTestAllocs pins the query hot path: membership tests must not
 // allocate on either representation.
 func TestFlatTestAllocs(t *testing.T) {
-	dense := NewFlat()
+	dense := New()
 	for i := 0; i < 1024; i++ {
 		dense.Set(i)
 	}
-	sparse := NewFlat()
+	sparse := New()
 	for i := 0; i < sparseMin/2; i++ {
 		sparse.Set(i * 1000)
 	}

@@ -1,23 +1,24 @@
 package bitset
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"pestrie/internal/bitmap"
 )
 
-// FuzzSetOps interprets the input bytes as an op sequence over two Flat
-// sets and mirrors every mutation into bitmap.Sparse references and a
-// Linked pair, then cross-checks all observables. This is the substrate's
-// differential oracle under adversarial op orders (the CI fuzz smoke).
+// FuzzSetOps interprets the input bytes as an op sequence over two sets and
+// mirrors every mutation into bitmap.Sparse references, then cross-checks
+// all observables. This is the set's differential oracle under adversarial
+// op orders (the CI fuzz smoke).
 func FuzzSetOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03})
 	f.Add([]byte{0x51, 0x51, 0x51, 0x51, 0x51, 0x51, 0x25, 0x66, 0x87, 0x98})
 	f.Add(bytes.Repeat([]byte{0x01, 0xFF, 0x40}, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		flat := [2]Set{NewFlat(), NewFlat()}
-		linked := [2]Set{NewLinked(), NewLinked()}
+		sets := [2]*Set{New(), New()}
+		refs := [2]*bitmap.Sparse{bitmap.New(), bitmap.New()}
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
@@ -33,75 +34,66 @@ func FuzzSetOps(f *testing.F) {
 			x, y := which, 1-which
 			switch op {
 			case 0, 1, 2, 3, 4, 5:
-				flat[x].Set(v)
-				linked[x].Set(v)
+				sets[x].Set(v)
+				refs[x].Set(v)
 			case 6, 7:
-				flat[x].Clear(v)
-				linked[x].Clear(v)
+				sets[x].Clear(v)
+				refs[x].Clear(v)
 			case 8:
-				flat[x].Or(flat[y])
-				linked[x].Or(linked[y])
+				sets[x].Or(sets[y])
+				refs[x].Or(refs[y])
 			case 9:
-				flat[x].And(flat[y])
-				linked[x].And(linked[y])
+				sets[x].And(sets[y])
+				refs[x].And(refs[y])
 			case 10:
-				flat[x].AndNot(flat[y])
-				linked[x].AndNot(linked[y])
+				sets[x].AndNot(sets[y])
+				refs[x].AndNot(refs[y])
 			case 11:
-				if flat[x].OrChanged(flat[y]) != linked[x].OrChanged(linked[y]) {
-					t.Fatal("OrChanged diverges between substrates")
+				if sets[x].OrChanged(sets[y]) != refs[x].Or(refs[y]) {
+					t.Fatal("OrChanged diverges from the reference")
 				}
 			case 12:
-				flat[x] = flat[x].Copy()
-				linked[x] = linked[x].Copy()
+				sets[x] = sets[x].Copy()
+				refs[x] = refs[x].Copy()
 			case 13:
-				if flat[x].Test(v) != linked[x].Test(v) {
+				if sets[x].Test(v) != refs[x].Test(v) {
 					t.Fatalf("Test(%d) diverges", v)
 				}
 			case 14:
-				if flat[x].Intersects(flat[y]) != linked[x].Intersects(linked[y]) {
+				if sets[x].Intersects(sets[y]) != refs[x].Intersects(refs[y]) {
 					t.Fatal("Intersects diverges")
 				}
 			case 15:
-				if flat[x].Equal(flat[y]) != linked[x].Equal(linked[y]) {
+				if sets[x].Equal(sets[y]) != refs[x].Equal(refs[y]) {
 					t.Fatal("Equal diverges")
 				}
 			}
 		}
-		for i := range flat {
-			fm, lm := flat[i].Members(), linked[i].Members()
-			if len(fm) != len(lm) {
-				t.Fatalf("set %d: member count diverges: flat %d, linked %d", i, len(fm), len(lm))
+		for i := range sets {
+			got, want := sets[i].Members(), refs[i].Members()
+			if len(got) != len(want) {
+				t.Fatalf("set %d: member count diverges: got %d, want %d", i, len(got), len(want))
 			}
-			for j := range fm {
-				if fm[j] != lm[j] {
-					t.Fatalf("set %d member %d: flat %d, linked %d", i, j, fm[j], lm[j])
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("set %d member %d: got %d, want %d", i, j, got[j], want[j])
 				}
 			}
-			if flat[i].Hash() != linked[i].Hash() {
+			if sets[i].Hash() != refs[i].Hash() {
 				t.Fatalf("set %d: hash diverges", i)
 			}
-			if flat[i].Count() != linked[i].Count() ||
-				flat[i].Min() != linked[i].Min() ||
-				flat[i].Max() != linked[i].Max() {
-				t.Fatalf("set %d: count/min/max diverge", i)
+			if sets[i].Count() != refs[i].Count() || sets[i].Max() != refs[i].Max() {
+				t.Fatalf("set %d: count/max diverge", i)
 			}
-			var buf bytes.Buffer
-			if _, err := Write(&buf, flat[i]); err != nil {
-				t.Fatal(err)
+			enc := sets[i].AppendTo(nil)
+			if !bytes.Equal(enc, refs[i].AppendTo(nil)) {
+				t.Fatalf("set %d: wire encoding diverges from the reference", i)
 			}
-			var ref bytes.Buffer
-			if _, err := Write(&ref, linked[i]); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), ref.Bytes()) {
-				t.Fatalf("set %d: wire encoding diverges between substrates", i)
-			}
-			back, err := Read(bufio.NewReader(&buf))
+			back, err := Read(bytes.NewReader(enc))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !back.Equal(flat[i]) {
+			if !back.Equal(sets[i]) {
 				t.Fatalf("set %d: round trip lost members", i)
 			}
 		}

@@ -8,15 +8,15 @@ import (
 
 // Row serialization uses the exact delta-varint coding of internal/bitmap's
 // io.go — varint member count, then each member as a gap from the previous
-// one — so a matrix persisted through this package is byte-identical to one
-// persisted through the bitmap baseline, whatever the substrate.
+// one — so a matrix persisted from Set rows is byte-identical to one
+// persisted from bitmap.Sparse rows.
 
-// AppendSet appends the serialization of s to b: a varint count followed
+// AppendTo appends the serialization of f to b: a varint count followed
 // by delta-varint members.
-func AppendSet(b []byte, s Set) []byte {
-	b = binary.AppendUvarint(b, uint64(s.Count()))
+func (f *Set) AppendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(f.Count()))
 	prev := 0
-	s.ForEach(func(i int) bool {
+	f.ForEach(func(i int) bool {
 		b = binary.AppendUvarint(b, uint64(i-prev))
 		prev = i
 		return true
@@ -24,56 +24,27 @@ func AppendSet(b []byte, s Set) []byte {
 	return b
 }
 
-// Write writes s to w as AppendSet encodes it, returning the number of
-// bytes written.
-func Write(w io.Writer, s Set) (int64, error) {
-	n, err := w.Write(AppendSet(nil, s))
-	return int64(n), err
-}
-
 // maxBit bounds decoded member indexes, rejecting corrupt delta streams
 // whose accumulated index would overflow the set's 32-bit member space.
 // It is far above any plausible matrix dimension.
 const maxBit = 1 << 32
 
-// Read reads one serialized set from r into a fresh set of the default
-// substrate.
-func Read(r io.ByteReader) (Set, error) {
+// Read reads one serialized set from r. It decodes the gap stream straight
+// into the sorted array in a single exactly-sized allocation (the members
+// arrive ascending by construction), then promotes once at the end if the
+// result is dense — skipping the incremental growth and promotion copies
+// Set would do per member. The preallocation is capped so a corrupt count
+// can't reserve gigabytes before the stream runs dry.
+func Read(r io.ByteReader) (*Set, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, fmt.Errorf("bitset: reading count: %w", err)
 	}
-	if Default() == FlatSubstrate {
-		return readFlat(r, n)
-	}
-	s := New()
-	cur := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		gap, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("bitset: reading member %d/%d: %w", i, n, err)
-		}
-		if gap >= maxBit || cur+gap >= maxBit {
-			return nil, fmt.Errorf("bitset: implausible member index %d (gap %d at member %d/%d)", cur+gap, gap, i, n)
-		}
-		cur += gap
-		s.Set(int(cur))
-	}
-	return s, nil
-}
-
-// readFlat decodes the gap stream straight into a Flat's sorted array in a
-// single exactly-sized allocation (the members arrive ascending by
-// construction), then promotes once at the end if the result is dense —
-// skipping the incremental growth and promotion copies Set would do per
-// member. The preallocation is capped so a corrupt count can't reserve
-// gigabytes before the stream runs dry.
-func readFlat(r io.ByteReader, n uint64) (Set, error) {
 	capHint := n
 	if capHint > 1<<20 {
 		capHint = 1 << 20
 	}
-	f := &Flat{sparse: make([]uint32, 0, capHint)}
+	f := &Set{sparse: make([]uint32, 0, capHint)}
 	cur := uint64(0)
 	for i := uint64(0); i < n; i++ {
 		gap, err := binary.ReadUvarint(r)

@@ -6,46 +6,60 @@
 // cache the querying result in cache(p); next time we query ListAliases(p')
 // where p' is an equivalent pointer to p, we directly use the cached
 // result").
+//
+// The rows are GCC-style linked bitmaps (internal/bitmap), the structure
+// the paper measures, whatever set type the rest of the pipeline uses.
 package demand
 
 import (
-	"pestrie/internal/bitset"
+	"pestrie/internal/bitmap"
 	"pestrie/internal/matrix"
 )
 
 // Oracle answers pointer queries on demand from a points-to matrix.
 type Oracle struct {
-	pm  *matrix.PointsTo
-	pmt *matrix.PointsTo // computed lazily for ListPointedBy
+	rows       []*bitmap.Sparse // points-to set of every pointer
+	pmt        []*bitmap.Sparse // computed lazily for ListPointedBy
+	numObjects int
 
 	// ListAliases cache, keyed by points-to set content.
 	cache map[uint64][]cacheEntry
 }
 
 type cacheEntry struct {
-	row     bitset.Set
+	row     *bitmap.Sparse
 	aliases []int
 }
 
-// New returns a demand-driven oracle over pm. The matrix is not copied and
-// must not be mutated afterwards.
+// New returns a demand-driven oracle over pm. It copies pm's rows into
+// linked bitmaps, so pm may change afterwards without affecting answers.
 func New(pm *matrix.PointsTo) *Oracle {
-	return &Oracle{pm: pm, cache: make(map[uint64][]cacheEntry)}
+	rows := make([]*bitmap.Sparse, pm.NumPointers)
+	for p := range rows {
+		rows[p] = bitmap.FromSlice(pm.Row(p).Members())
+	}
+	return &Oracle{rows: rows, numObjects: pm.NumObjects, cache: make(map[uint64][]cacheEntry)}
+}
+
+// row returns p's points-to set, or nil (the empty set to Intersects) when
+// p is out of range.
+func (d *Oracle) row(p int) *bitmap.Sparse {
+	if p < 0 || p >= len(d.rows) {
+		return nil
+	}
+	return d.rows[p]
 }
 
 // IsAlias intersects the points-to sets of p and q.
 func (d *Oracle) IsAlias(p, q int) bool {
-	return d.pm.Row(p).Intersects(d.pm.Row(q))
+	return d.row(p).Intersects(d.row(q))
 }
 
 // ListAliases enumerates all pointers q ≠ p with IsAlias(p, q), consulting
 // the equivalence cache first.
 func (d *Oracle) ListAliases(p int) []int {
-	if p < 0 || p >= d.pm.NumPointers {
-		return nil
-	}
-	row := d.pm.Row(p)
-	if row.Empty() {
+	row := d.row(p)
+	if row == nil || row.Empty() {
 		return nil
 	}
 	h := row.Hash()
@@ -55,8 +69,8 @@ func (d *Oracle) ListAliases(p int) []int {
 		}
 	}
 	var aliases []int // all pointers aliased to this class, self included
-	for q := 0; q < d.pm.NumPointers; q++ {
-		if row.Intersects(d.pm.Row(q)) {
+	for q, other := range d.rows {
+		if row.Intersects(other) {
 			aliases = append(aliases, q)
 		}
 	}
@@ -76,11 +90,8 @@ func filterOut(xs []int, p int) []int {
 
 // ListPointsTo returns the points-to set of p.
 func (d *Oracle) ListPointsTo(p int) []int {
-	if p < 0 || p >= d.pm.NumPointers {
-		return nil
-	}
-	row := d.pm.Row(p)
-	if row.Empty() {
+	row := d.row(p)
+	if row == nil || row.Empty() {
 		return nil
 	}
 	return row.Members()
@@ -89,13 +100,13 @@ func (d *Oracle) ListPointsTo(p int) []int {
 // ListPointedBy returns the pointers pointing to o, computing the transpose
 // on first use (a demand-driven client pays this once).
 func (d *Oracle) ListPointedBy(o int) []int {
-	if o < 0 || o >= d.pm.NumObjects {
+	if o < 0 || o >= d.numObjects {
 		return nil
 	}
 	if d.pmt == nil {
-		d.pmt = d.pm.Transpose()
+		d.pmt = bitmap.Transpose(d.rows, d.numObjects)
 	}
-	row := d.pmt.Row(o)
+	row := d.pmt[o]
 	if row.Empty() {
 		return nil
 	}

@@ -9,7 +9,6 @@ import (
 	"slices"
 
 	"pestrie/internal/anders"
-	"pestrie/internal/bitset"
 	"pestrie/internal/ir"
 	"pestrie/internal/par"
 )
@@ -43,18 +42,9 @@ type AndersBenchRow struct {
 
 	ConstraintsPerSec float64 `json:"constraints_per_sec"` // at -jN
 
-	// Substrate columns: one extra serial solve with the linked paper
-	// baseline forced, against the flat hybrid the engine now defaults to.
-	// The wave-propagation loop is dominated by Or/AndNot/Copy over
-	// points-to sets, so this isolates the bit-substrate contribution.
-	SolveLinkedNS    int64   `json:"solve_linked_ns"`
-	SubstrateSpeedup float64 `json:"substrate_speedup"` // linked vs flat, serial
-
 	// MatrixIdentical confirms the -j1 and -jN runs produced the same
-	// matrix and name tables; SubstrateIdentical does the same for the
-	// linked-substrate run. The harness panics if they ever differ.
-	MatrixIdentical    bool `json:"matrix_identical"`
-	SubstrateIdentical bool `json:"substrate_identical"`
+	// matrix and name tables. The harness panics if they ever differ.
+	MatrixIdentical bool `json:"matrix_identical"`
 }
 
 // andersPresets resolves opts.Presets against the program presets,
@@ -120,13 +110,6 @@ func andersBenchOne(p ir.ProgPreset, workers int) AndersBenchRow {
 	serial, serialNS := solve(anders.Options{Workers: 1})
 	parallel, parallelNS := solve(anders.Options{Workers: workers})
 
-	prevSub := bitset.Default()
-	bitset.Use(bitset.FlatSubstrate)
-	_, flatNS := solve(anders.Options{Workers: 1})
-	bitset.Use(bitset.LinkedSubstrate)
-	linked, linkedNS := solve(anders.Options{Workers: 1})
-	bitset.Use(prevSub)
-
 	st := serial.Stats
 	row.Vars = st.Vars
 	row.Objects = st.Objects
@@ -141,16 +124,9 @@ func andersBenchOne(p ir.ProgPreset, workers int) AndersBenchRow {
 		row.ConstraintsPerSec = float64(st.Constraints) / (float64(parallelNS) / 1e9)
 	}
 
-	row.SolveLinkedNS = linkedNS
-	row.SubstrateSpeedup = nsRatio(linkedNS, flatNS)
-
 	row.MatrixIdentical = sameAnalysis(serial, parallel)
 	if !row.MatrixIdentical {
 		panic(fmt.Sprintf("%s: -j1 and -j%d results differ", p.Name, row.Workers))
-	}
-	row.SubstrateIdentical = sameAnalysis(serial, linked)
-	if !row.SubstrateIdentical {
-		panic(fmt.Sprintf("%s: flat and linked substrates produced different results", p.Name))
 	}
 	return row
 }
@@ -166,15 +142,14 @@ func RenderAndersBench(rows []AndersBenchRow) string {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "Anders bench: constraint solving, -j1 vs -jN (GOMAXPROCS=%d)\n",
 		runtime.GOMAXPROCS(0))
-	fmt.Fprintf(&b, "%-14s %4s | %8s %6s | %10s %10s %7s | %10s %7s | %11s | %s\n",
+	fmt.Fprintf(&b, "%-14s %4s | %8s %6s | %10s %10s %7s | %11s | %s\n",
 		"preset", "j", "cons", "cyc",
-		"solve-j1", "solve-jN", "speedup", "linked", "sub×", "cons/s", "identical")
+		"solve-j1", "solve-jN", "speedup", "cons/s", "identical")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %4d | %8d %6d | %8.1fms %8.1fms %7s | %8.1fms %6.2f× | %11.0f | %v\n",
+		fmt.Fprintf(&b, "%-14s %4d | %8d %6d | %8.1fms %8.1fms %7s | %11.0f | %v\n",
 			r.Name, r.Workers, r.Constraints, r.CycleMerged,
 			float64(r.SolveSerialNS)/1e6, float64(r.SolveParallelNS)/1e6, speedupCell(r.ParallelSpeedup),
-			float64(r.SolveLinkedNS)/1e6, r.SubstrateSpeedup,
-			r.ConstraintsPerSec, r.MatrixIdentical && r.SubstrateIdentical)
+			r.ConstraintsPerSec, r.MatrixIdentical)
 	}
 	return b.String()
 }

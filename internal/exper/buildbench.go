@@ -9,8 +9,6 @@ import (
 	"runtime"
 	"time"
 
-	"pestrie/internal/bitenc"
-	"pestrie/internal/bitset"
 	"pestrie/internal/core"
 	"pestrie/internal/par"
 )
@@ -52,24 +50,6 @@ type BuildBenchRow struct {
 	WarmOpenV2NS  int64   `json:"warm_open_v2_ns"`
 	V2OpenSpeedup float64 `json:"v2_open_speedup"`
 	V2Identical   bool    `json:"v2_identical"` // mapped answers spot-checked against decoded
-
-	// Substrate columns: the same work re-run with the GCC-style linked
-	// bitmap baseline forced (-bitsubstrate=linked), against the flat
-	// hybrid substrate. Build exercises transpose/hashing/alias-matrix set
-	// ops; decode never touches bit sets (recorded to prove exactly that);
-	// the bitenc query mix (all-pairs IsAlias + ListAliases + ListPointsTo
-	// over the base pointers) is where the linked baseline's O(blocks) bit
-	// lookups hurt most. Speedups are linked-time / flat-time.
-	BuildFlatNS            int64   `json:"build_flat_ns"`
-	BuildLinkedNS          int64   `json:"build_linked_ns"`
-	SubstrateBuildSpeedup  float64 `json:"substrate_build_speedup"`
-	DecodeFlatNS           int64   `json:"decode_flat_ns"`
-	DecodeLinkedNS         int64   `json:"decode_linked_ns"`
-	SubstrateDecodeSpeedup float64 `json:"substrate_decode_speedup"`
-	BitencQueryFlatNS      int64   `json:"bitenc_query_flat_ns"`
-	BitencQueryLinkedNS    int64   `json:"bitenc_query_linked_ns"`
-	SubstrateBitencSpeedup float64 `json:"substrate_bitenc_speedup"`
-	SubstrateIdentical     bool    `json:"substrate_identical"` // linked vs flat .pes byte-compare
 }
 
 // BuildBench runs the construction/decode experiment: every preset is
@@ -122,64 +102,7 @@ func buildBenchOne(w workload) BuildBenchRow {
 	row.DecodeSpeedup = parallelSpeedup(row.DecodeSerialNS, row.DecodeParallelNS, row.Workers)
 
 	benchV2(decoded, &row)
-	benchSubstrate(w, &row, raw)
 	return row
-}
-
-// benchSubstrate re-runs build, decode, and the bitenc query mix with the
-// linked paper-baseline substrate forced and then with the flat substrate,
-// back to back in the already-warm process (the ambient DecodeSerialNS
-// number includes the run's cold start, so comparing the warm linked run
-// against it would flatter whichever side ran later),
-// and byte-compares the two persisted .pes files. The matrix is
-// regenerated under each substrate so its rows actually live on the
-// structure being measured.
-func benchSubstrate(w workload, row *BuildBenchRow, flatPes []byte) {
-	prev := bitset.Default()
-	defer bitset.Use(prev)
-
-	bitset.Use(bitset.LinkedSubstrate)
-	pmLinked := w.preset.Generate(w.scale)
-	var builtLinked *core.Trie
-	row.BuildLinkedNS = bestOf2(func() {
-		builtLinked = core.Build(pmLinked, nil)
-	})
-
-	var linkedFile bytes.Buffer
-	if _, err := builtLinked.WriteTo(&linkedFile); err != nil {
-		panic(err)
-	}
-	row.SubstrateIdentical = bytes.Equal(flatPes, linkedFile.Bytes())
-	if !row.SubstrateIdentical {
-		panic(fmt.Sprintf("%s: flat and linked substrates persisted different files", w.preset.Name))
-	}
-
-	row.DecodeLinkedNS = bestOf2(func() {
-		if _, err := core.LoadWith(bytes.NewReader(linkedFile.Bytes()), 1); err != nil {
-			panic(err)
-		}
-	})
-
-	encLinked := bitenc.Encode(pmLinked)
-	row.BitencQueryLinkedNS = timeBitencMix(encLinked, w.base)
-
-	bitset.Use(bitset.FlatSubstrate)
-	pmFlat := w.preset.Generate(w.scale)
-	row.BuildFlatNS = bestOf2(func() {
-		core.Build(pmFlat, nil)
-	})
-	row.SubstrateBuildSpeedup = nsRatio(row.BuildLinkedNS, row.BuildFlatNS)
-
-	row.DecodeFlatNS = bestOf2(func() {
-		if _, err := core.LoadWith(bytes.NewReader(flatPes), 1); err != nil {
-			panic(err)
-		}
-	})
-	row.SubstrateDecodeSpeedup = nsRatio(row.DecodeLinkedNS, row.DecodeFlatNS)
-
-	encFlat := bitenc.Encode(pmFlat)
-	row.BitencQueryFlatNS = timeBitencMix(encFlat, w.base)
-	row.SubstrateBitencSpeedup = nsRatio(row.BitencQueryLinkedNS, row.BitencQueryFlatNS)
 }
 
 // bestOf2 runs fn twice and returns the faster wall-clock, squeezing
@@ -194,12 +117,6 @@ func bestOf2(fn func()) int64 {
 		}
 	}
 	return best
-}
-
-// timeBitencMix times the §7.1.1 query mix against one bitenc encoding.
-func timeBitencMix(q querier, base []int) int64 {
-	aliasNS, _ := timeIsAliasPairs(q, base)
-	return (aliasNS + timeListAliases(q, base) + timeListPointsTo(q, base)).Nanoseconds()
 }
 
 // benchV2 persists the decoded index as PES2 to a real temp file and
@@ -304,17 +221,16 @@ func RenderBuildBench(rows []BuildBenchRow) string {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "Build bench: construction, and decode -j1 vs -jN (GOMAXPROCS=%d)\n",
 		runtime.GOMAXPROCS(0))
-	fmt.Fprintf(&b, "%-12s %4s | %10s | %10s %10s %7s | %10s %10s %7s | %7s %7s %7s | %s\n",
+	fmt.Fprintf(&b, "%-12s %4s | %10s | %10s %10s %7s | %10s %10s %7s | %s\n",
 		"program", "j", "build", "dec-j1", "dec-jN", "speedup",
-		"v2-cold", "v2-warm", "speedup", "sub-bld", "sub-dec", "sub-qry", "identical")
+		"v2-cold", "v2-warm", "speedup", "identical")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %4d | %8.1fms | %8.1fms %8.1fms %7s | %8.3fms %8.3fms %6.0f× | %6.2f× %6.2f× %6.2f× | %v\n",
+		fmt.Fprintf(&b, "%-12s %4d | %8.1fms | %8.1fms %8.1fms %7s | %8.3fms %8.3fms %6.0f× | %v\n",
 			r.Name, r.Workers,
 			float64(r.BuildNS)/1e6,
 			float64(r.DecodeSerialNS)/1e6, float64(r.DecodeParallelNS)/1e6, speedupCell(r.DecodeSpeedup),
 			float64(r.ColdOpenV2NS)/1e6, float64(r.WarmOpenV2NS)/1e6, r.V2OpenSpeedup,
-			r.SubstrateBuildSpeedup, r.SubstrateDecodeSpeedup, r.SubstrateBitencSpeedup,
-			r.V2Identical && r.SubstrateIdentical)
+			r.V2Identical)
 	}
 	return b.String()
 }

@@ -123,7 +123,7 @@ func table7One(w workload) Table7Row {
 // RenderTable7 renders Table7 rows as text.
 func RenderTable7(rows []Table7Row) string {
 	var b bytes.Buffer
-	fmt.Fprintln(&b, "Table 7: query time, decoding time, query memory")
+	fmt.Fprintln(&b, "Table 7: query time, decoding time, query memory (K = KiB)")
 	fmt.Fprintf(&b, "%-12s %6s | %9s %9s %9s | %9s %9s %9s | %9s %9s | %8s %8s %8s | %9s %9s\n",
 		"program", "#base",
 		"ia-pes", "ia-bit", "ia-dem",
@@ -136,16 +136,15 @@ func RenderTable7(rows []Table7Row) string {
 		if r.ListPointsToBDD > 0 {
 			bddCol = fmt.Sprintf("%.1fms", ms(r.ListPointsToBDD))
 		}
-		fmt.Fprintf(&b, "%-12s %6d | %8.1fms %8.1fms %8.1fms | %8.1fms %8.1fms %8.1fms | %8.1fms %9s | %6.1fms %6.1fms %6.1fms | %8.1fM %8.1fM\n",
+		fmt.Fprintf(&b, "%-12s %6d | %8.1fms %8.1fms %8.1fms | %8.1fms %8.1fms %8.1fms | %8.1fms %9s | %6.1fms %6.1fms %6.1fms | %8.1fK %8.1fK\n",
 			r.Name, r.BasePtrs,
 			ms(r.IsAliasPesP), ms(r.IsAliasBitP), ms(r.IsAliasDemand),
 			ms(r.ListAliasesPesP), ms(r.ListAliasesBitP), ms(r.ListAliasesDemand),
 			ms(r.ListPointsToPesP), bddCol,
 			ms(r.DecodePesP), ms(r.DecodePesPPar), ms(r.DecodeBitP),
-			mib(r.MemPesP), mib(r.MemBitP))
+			kib(r.MemPesP), kib(r.MemBitP))
 	}
 	return b.String()
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-func mib(n int64) float64        { return float64(n) / (1 << 20) }

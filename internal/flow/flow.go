@@ -69,7 +69,7 @@ func Analyze(prog *ir.Program) (*Result, error) {
 // variable), with join facts emitted at a synthetic point numbered after
 // both arms so "latest definition" stays meaningful.
 func analyzeFunc(f *ir.Func, base *anders.Result, res *Result) {
-	cur := map[string]bitset.Set{}
+	cur := map[string]*bitset.Set{}
 
 	// Parameters start from the context-insensitive summary — the sound
 	// merge over all callers.
@@ -83,7 +83,7 @@ func analyzeFunc(f *ir.Func, base *anders.Result, res *Result) {
 		return counter - 1
 	}
 
-	emit := func(idx int, v string, set bitset.Set) {
+	emit := func(idx int, v string, set *bitset.Set) {
 		if set == nil {
 			return
 		}
@@ -98,8 +98,8 @@ func analyzeFunc(f *ir.Func, base *anders.Result, res *Result) {
 		})
 	}
 
-	var walk func(body []ir.Stmt, state map[string]bitset.Set, defs map[string]bool)
-	walk = func(body []ir.Stmt, state map[string]bitset.Set, defs map[string]bool) {
+	var walk func(body []ir.Stmt, state map[string]*bitset.Set, defs map[string]bool)
+	walk = func(body []ir.Stmt, state map[string]*bitset.Set, defs map[string]bool) {
 		for _, st := range body {
 			idx := next()
 			switch st.Kind {
@@ -165,8 +165,8 @@ func analyzeFunc(f *ir.Func, base *anders.Result, res *Result) {
 	walk(f.Body, cur, map[string]bool{})
 }
 
-func copyState(state map[string]bitset.Set) map[string]bitset.Set {
-	out := make(map[string]bitset.Set, len(state))
+func copyState(state map[string]*bitset.Set) map[string]*bitset.Set {
+	out := make(map[string]*bitset.Set, len(state))
 	for k, v := range state {
 		out[k] = v.Copy()
 	}
@@ -176,7 +176,7 @@ func copyState(state map[string]bitset.Set) map[string]bitset.Set {
 // lookup returns the current flow-sensitive set of v, falling back to the
 // base analysis for names never strongly defined here (parameters already
 // seeded; globals of other functions cannot be referenced by the IR).
-func lookup(cur map[string]bitset.Set, base *anders.Result, fn, v string) bitset.Set {
+func lookup(cur map[string]*bitset.Set, base *anders.Result, fn, v string) *bitset.Set {
 	if s, ok := cur[v]; ok {
 		return s
 	}
@@ -185,7 +185,7 @@ func lookup(cur map[string]bitset.Set, base *anders.Result, fn, v string) bitset
 	return s
 }
 
-func baseRow(base *anders.Result, fn, v string) bitset.Set {
+func baseRow(base *anders.Result, fn, v string) *bitset.Set {
 	p := base.PointerID(fn + "." + v)
 	if p < 0 {
 		return bitset.New()
@@ -193,7 +193,7 @@ func baseRow(base *anders.Result, fn, v string) bitset.Set {
 	return base.PM.Row(p).Copy()
 }
 
-func heapRow(base *anders.Result, obj int) bitset.Set {
+func heapRow(base *anders.Result, obj int) *bitset.Set {
 	p := base.PointerID("@heap." + base.ObjectNames[obj])
 	if p < 0 {
 		return bitset.New()

@@ -18,12 +18,33 @@ import (
 //	magic "PTM1"
 //	uvarint numPointers
 //	uvarint numObjects
-//	numPointers × delta-varint set rows (see bitset.AppendSet / bitmap.WriteTo)
+//	numPointers × delta-varint set rows (see bitset.Set.AppendTo /
+//	bitmap.Sparse.AppendTo, which code a row identically)
 
 const matrixMagic = "PTM1"
 
+// maxDim bounds both declared dimensions of a PTM1 or raw matrix.
+const maxDim = 1 << 28
+
+// Row is what PTM1 framing needs of a row set. PointsTo's rows are
+// *bitset.Set; the BitP baseline frames its class-level *bitmap.Sparse
+// rows the same way, so the two share one framing and one set of bounds.
+type Row interface {
+	comparable
+	// AppendTo appends the row's delta-varint coding to b.
+	AppendTo(b []byte) []byte
+	// Max returns the largest member, or -1 if the row is empty.
+	Max() int
+}
+
 // WriteTo serializes the matrix. It returns the number of bytes written.
 func (pm *PointsTo) WriteTo(w io.Writer) (int64, error) {
+	return WriteRows(w, pm.rows, pm.NumObjects)
+}
+
+// WriteRows writes rows as a PTM1 matrix over numObjects columns. A nil
+// row is written as the empty set. It returns the number of bytes written.
+func WriteRows[R Row](w io.Writer, rows []R, numObjects int) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var written int64
 	n, err := bw.WriteString(matrixMagic)
@@ -32,7 +53,7 @@ func (pm *PointsTo) WriteTo(w io.Writer) (int64, error) {
 		return written, err
 	}
 	var buf [binary.MaxVarintLen64]byte
-	for _, v := range []uint64{uint64(pm.NumPointers), uint64(pm.NumObjects)} {
+	for _, v := range []uint64{uint64(len(rows)), uint64(numObjects)} {
 		k := binary.PutUvarint(buf[:], v)
 		n, err := bw.Write(buf[:k])
 		written += int64(n)
@@ -42,9 +63,14 @@ func (pm *PointsTo) WriteTo(w io.Writer) (int64, error) {
 	}
 	// One Write per row, not per member: the row is appended into a
 	// buffer reused across rows.
+	var zero R
 	var row []byte
-	for p := 0; p < pm.NumPointers; p++ {
-		row = bitset.AppendSet(row[:0], pm.Row(p))
+	for _, r := range rows {
+		if r == zero {
+			row = append(row[:0], 0) // a zero member count
+		} else {
+			row = r.AppendTo(row[:0])
+		}
 		n, err := bw.Write(row)
 		written += int64(n)
 		if err != nil {
@@ -113,11 +139,10 @@ func ReadRaw(r io.Reader) (*PointsTo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("matrix: raw object count: %w", err)
 	}
-	const limit = 1 << 28
-	if np > limit || no > limit {
+	if np > maxDim || no > maxDim {
 		return nil, fmt.Errorf("matrix: implausible raw dimensions %d×%d", np, no)
 	}
-	rows := make([]bitset.Set, 0, safeio.Cap(int(np)))
+	rows := make([]*bitset.Set, 0, safeio.Cap(int(np)))
 	for p := 0; p < int(np); p++ {
 		count, err := get()
 		if err != nil {
@@ -126,7 +151,7 @@ func ReadRaw(r io.Reader) (*PointsTo, error) {
 		if count > no {
 			return nil, fmt.Errorf("matrix: raw row %d count %d exceeds objects", p, count)
 		}
-		var row bitset.Set
+		var row *bitset.Set
 		for i := uint32(0); i < count; i++ {
 			o, err := get()
 			if err != nil {
@@ -149,53 +174,58 @@ func ReadRaw(r io.Reader) (*PointsTo, error) {
 // *bufio.Reader it is used directly, so several matrices can be read back to
 // back from one stream without losing read-ahead bytes.
 func Read(r io.Reader) (*PointsTo, error) {
+	rows, numObjects, err := ReadRows(r, bitset.Read)
+	if err != nil {
+		return nil, err
+	}
+	for p, row := range rows {
+		if row.Empty() {
+			rows[p] = nil // an empty row costs no set
+		}
+	}
+	return &PointsTo{NumPointers: len(rows), NumObjects: numObjects, rows: rows}, nil
+}
+
+// ReadRows reads a PTM1 matrix, decoding each row with readRow. It rejects
+// dimensions above 2^28 and any member at or past the declared object
+// count, and it returns the rows with that count. When r is already a
+// *bufio.Reader it is used directly, as for Read.
+func ReadRows[R Row](r io.Reader, readRow func(io.ByteReader) (R, error)) (rows []R, numObjects int, err error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReader(r)
 	}
 	magic := make([]byte, len(matrixMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("matrix: reading magic: %w", err)
+		return nil, 0, fmt.Errorf("matrix: reading magic: %w", err)
 	}
 	if string(magic) != matrixMagic {
-		return nil, fmt.Errorf("matrix: bad magic %q", magic)
+		return nil, 0, fmt.Errorf("matrix: bad magic %q", magic)
 	}
 	np, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("matrix: reading pointer count: %w", err)
+		return nil, 0, fmt.Errorf("matrix: reading pointer count: %w", err)
 	}
 	no, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("matrix: reading object count: %w", err)
+		return nil, 0, fmt.Errorf("matrix: reading object count: %w", err)
 	}
-	const limit = 1 << 28
-	if np > limit || no > limit {
-		return nil, fmt.Errorf("matrix: implausible dimensions %d×%d", np, no)
+	if np > maxDim || no > maxDim {
+		return nil, 0, fmt.Errorf("matrix: implausible dimensions %d×%d", np, no)
 	}
 	// Rows are appended as they decode rather than preallocated from the
 	// untrusted header count: every row costs at least one input byte, so
 	// allocation stays proportional to the actual file size.
-	rows := make([]bitset.Set, 0, safeio.Cap(int(np)))
+	rows = make([]R, 0, safeio.Cap(int(np)))
 	for p := 0; p < int(np); p++ {
-		row, err := readRow(br, int(no))
+		row, err := readRow(br)
 		if err != nil {
-			return nil, fmt.Errorf("matrix: row %d: %w", p, err)
+			return nil, 0, fmt.Errorf("matrix: row %d: %w", p, err)
+		}
+		if max := row.Max(); max >= int(no) {
+			return nil, 0, fmt.Errorf("matrix: row %d: object %d out of range [0,%d)", p, max, no)
 		}
 		rows = append(rows, row)
 	}
-	return &PointsTo{NumPointers: int(np), NumObjects: int(no), rows: rows}, nil
-}
-
-func readRow(br *bufio.Reader, numObjects int) (bitset.Set, error) {
-	s, err := bitset.Read(br)
-	if err != nil {
-		return nil, err
-	}
-	if s.Empty() {
-		return nil, nil
-	}
-	if max := s.Max(); max >= numObjects {
-		return nil, fmt.Errorf("object %d out of range [0,%d)", max, numObjects)
-	}
-	return s, nil
+	return rows, int(no), nil
 }

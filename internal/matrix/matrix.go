@@ -19,7 +19,7 @@ import (
 type PointsTo struct {
 	NumPointers int
 	NumObjects  int
-	rows        []bitset.Set
+	rows        []*bitset.Set
 }
 
 // New returns an empty points-to matrix of the given dimensions.
@@ -30,7 +30,7 @@ func New(pointers, objects int) *PointsTo {
 	return &PointsTo{
 		NumPointers: pointers,
 		NumObjects:  objects,
-		rows:        make([]bitset.Set, pointers),
+		rows:        make([]*bitset.Set, pointers),
 	}
 }
 
@@ -65,11 +65,11 @@ func (pm *PointsTo) Has(p, o int) bool {
 	return pm.rows[p].Test(o)
 }
 
-var emptyRow bitset.Set = bitset.NewFlat()
+var emptyRow = bitset.New()
 
 // Row returns the points-to set of pointer p. The returned set must not be
 // mutated; it is never nil.
-func (pm *PointsTo) Row(p int) bitset.Set {
+func (pm *PointsTo) Row(p int) *bitset.Set {
 	if p < 0 || p >= pm.NumPointers || pm.rows[p] == nil {
 		return emptyRow
 	}
@@ -77,7 +77,7 @@ func (pm *PointsTo) Row(p int) bitset.Set {
 }
 
 // SetRow installs row as the points-to set of pointer p, taking ownership.
-func (pm *PointsTo) SetRow(p int, row bitset.Set) {
+func (pm *PointsTo) SetRow(p int, row *bitset.Set) {
 	if p < 0 || p >= pm.NumPointers {
 		panic(fmt.Sprintf("matrix: pointer %d out of range [0,%d)", p, pm.NumPointers))
 	}
@@ -146,11 +146,6 @@ func (pm *PointsTo) Transpose() *PointsTo {
 // the PMT rows of the objects p points to, which is fast when PM is sparse.
 func (pm *PointsTo) AliasMatrix() *PointsTo {
 	pmt := pm.Transpose()
-	return pm.AliasMatrixWith(pmt)
-}
-
-// AliasMatrixWith is AliasMatrix with a precomputed transpose.
-func (pm *PointsTo) AliasMatrixWith(pmt *PointsTo) *PointsTo {
 	am := New(pm.NumPointers, pm.NumPointers)
 	for p, r := range pm.rows {
 		if r == nil || r.Empty() {
@@ -172,7 +167,7 @@ func (pm *PointsTo) AliasMatrixWith(pmt *PointsTo) *PointsTo {
 //
 // which is the two-round HITS hub score over the points-to bipartite graph.
 // pmt is pm's transpose, which callers that need it for more than the
-// degrees compute once and pass in, as for AliasMatrixWith.
+// degrees compute once and pass in.
 func (pm *PointsTo) HubDegrees(pmt *PointsTo) []float64 {
 	sizes := make([]int, pm.NumPointers)
 	for p, r := range pm.rows {
@@ -251,7 +246,7 @@ func (pm *PointsTo) ObjectEquivalenceClasses() (classOf []int, numClasses int) {
 // classesOf numbers rows by first occurrence of their content: rows are
 // bucketed by hash, and a row joins the class of the first equal
 // representative in its bucket.
-func classesOf(rows []bitset.Set, n int) ([]int, int) {
+func classesOf(rows []*bitset.Set, n int) ([]int, int) {
 	classOf := make([]int, n)
 	buckets := make(map[uint64][]int) // hash -> representative row indices
 	next := 0
