@@ -14,8 +14,7 @@
 //	pestrie serve -store-dir ./pes -mem-budget 64MiB -reload-interval 30s
 //
 // serve answers the four Table-1 queries plus batches over HTTP/JSON (see
-// internal/server), answering repeated list queries from an answer cache.
-// pbench (bash pbench/run.sh) load-tests it.
+// internal/server). pbench (bash pbench/run.sh) load-tests it.
 //
 // serve catalogs every backend in the managed index store (see
 // internal/store). -in entries are decoded at startup, so a broken path

@@ -286,9 +286,6 @@ func TestServeRepeatedBatches(t *testing.T) {
 	if stats.Backends["default"]["batch"].Count != 5 {
 		t.Fatalf("batch count = %d, want 5", stats.Backends["default"]["batch"].Count)
 	}
-	if stats.Cache.Hits == 0 {
-		t.Fatalf("repeated list queries never hit the answer cache: %+v", stats.Cache)
-	}
 }
 
 func TestServeMultipleNamedBackends(t *testing.T) {

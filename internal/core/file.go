@@ -25,6 +25,10 @@ import (
 const (
 	fileMagic   = "PES1"
 	fileVersion = 1
+
+	// maxCount bounds every count a loader reads from a file header:
+	// pointers, objects, groups and rectangles.
+	maxCount = 1 << 30
 )
 
 type shapeClass int
@@ -173,8 +177,7 @@ func readFile(r io.Reader) (*fileContents, error) {
 		if err != nil {
 			return 0, fmt.Errorf("pestrie: reading %s: %w", what, err)
 		}
-		const limit = 1 << 30
-		if v > limit {
+		if v > maxCount {
 			return 0, fmt.Errorf("pestrie: implausible %s %d", what, v)
 		}
 		return int(v), nil

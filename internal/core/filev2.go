@@ -270,8 +270,7 @@ func LoadMapped(data []byte, closer func() error) (*Index, error) {
 	}
 	u := func(off int, what string) (int, error) {
 		v := le.Uint32(data[off:])
-		const limit = 1 << 30
-		if v > limit {
+		if v > maxCount {
 			return 0, fmt.Errorf("pestrie: implausible %s %d", what, v)
 		}
 		return int(v), nil

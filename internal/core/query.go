@@ -7,6 +7,8 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"pestrie/internal/par"
 )
@@ -72,6 +74,12 @@ type Index struct {
 	// closer releases it. Both are zero for heap-decoded indexes.
 	backing int64
 	closer  func() error
+
+	// text is the ID text table the Append methods copy answers from,
+	// built by the first of them (or BuildIDText) under textOnce; nil
+	// until then, so MemoryFootprint charges it only once it exists.
+	textOnce sync.Once
+	text     atomic.Pointer[idText]
 }
 
 type listEntry struct {
@@ -439,122 +447,151 @@ func (ix *Index) IsAlias(p, q int) bool {
 // unspecified order and with no duplicates. The result is allocated
 // exactly: len(result) == cap(result).
 func (ix *Index) ListAliases(p int) []int {
+	if ix.tsOfPointer(p) < 0 {
+		return nil
+	}
+	return collect(ix.ptrsFlat, []int{}, func(emit func(lo, hi int)) { ix.AliasRuns(p, emit) })
+}
+
+// ListPointsTo returns the objects pointer p may point to, in unspecified
+// order.
+func (ix *Index) ListPointsTo(p int) []int {
+	return collect(ix.objsFlat, nil, func(emit func(lo, hi int)) { ix.pointsToRuns(p, emit) })
+}
+
+// ListPointedBy returns the pointers that may point to object o, in
+// unspecified order.
+func (ix *Index) ListPointedBy(o int) []int {
+	return collect(ix.ptrsFlat, nil, func(emit func(lo, hi int)) { ix.PointedByRuns(o, emit) })
+}
+
+// collect returns flat[lo:hi] of every run the visitor emits, in order,
+// in a slice allocated exactly, or empty when the runs hold no ID.
+func collect(flat []int32, empty []int, runs func(emit func(lo, hi int))) []int {
+	n := 0
+	runs(func(lo, hi int) { n += hi - lo })
+	if n == 0 {
+		return empty
+	}
+	out := make([]int, 0, n)
+	runs(func(lo, hi int) {
+		for _, id := range flat[lo:hi] {
+			out = append(out, int(id))
+		}
+	})
+	return out
+}
+
+// AliasRuns calls emit(lo, hi) for each run of positions [lo, hi) of the
+// flat pointer order whose pointers make up ListAliases(p), in ascending
+// order, and emits nothing when p is out of range or unplaced. The list
+// queries and their Append forms are built on these visitors, so each
+// query has one implementation; PointersAt and PointerText read a run.
+func (ix *Index) AliasRuns(p int, emit func(lo, hi int)) {
 	ts := ix.tsOfPointer(p)
 	if ts < 0 {
-		return nil
+		return
 	}
 	// Internal pairs: every pointer in p's PES; cross pairs: ranges of the
 	// rectangles crossing column ts. The PES interval and the column's
 	// entry ranges are visited in ascending-lo order, clipping each range
 	// against the timestamps already visited — so nested or overlapping
 	// ranges (possible with pruning off) contribute every timestamp
-	// exactly once, and the two passes (count, then fill) agree exactly.
+	// exactly once, and repeated sweeps (count, then fill) agree exactly.
+	// p itself is always placed inside its PES interval and no entry
+	// range contains its own column, so the sweep meets p's position
+	// exactly once, and cuts it out there.
 	k := ix.pesOf(ts)
 	pesLo, pesHi := int(ix.originTS[k]), int(ix.pesEnd[k])
-	list := ix.col(ts)
-	sweep := func(visit func(lo, hi int)) {
-		prevHi := -1
-		emit := func(lo, hi int) {
-			if hi <= prevHi {
-				return // fully covered by an earlier range
-			}
-			if lo <= prevHi {
-				lo = prevHi + 1
-			}
-			visit(lo, hi)
-			prevHi = hi
+	self := ix.PointerPos(p)
+	prevHi := -1
+	visit := func(lo, hi int) {
+		if hi <= prevHi {
+			return // fully covered by an earlier range
 		}
-		pesDone := false
-		for _, e := range list {
-			if !pesDone && pesLo <= int(e.lo) {
-				emit(pesLo, pesHi)
-				pesDone = true
-			}
-			emit(int(e.lo), int(e.hi))
+		if lo <= prevHi {
+			lo = prevHi + 1
 		}
-		if !pesDone {
-			emit(pesLo, pesHi)
+		prevHi = hi
+		a, b := int(ix.startOfTS[lo]), int(ix.startOfTS[hi+1])
+		if a <= self && self < b {
+			emit(a, self)
+			a = self + 1
 		}
+		emit(a, b)
 	}
-	n := 0
-	sweep(func(lo, hi int) { n += int(ix.startOfTS[hi+1] - ix.startOfTS[lo]) })
-	// p itself is always placed inside its PES interval and no entry range
-	// contains its own column, so the sweep visits p exactly once: the
-	// output holds exactly n-1 IDs.
-	out := make([]int, 0, n-1)
-	sweep(func(lo, hi int) {
-		for _, q := range ix.ptrsFlat[ix.startOfTS[lo]:ix.startOfTS[hi+1]] {
-			if int(q) != p {
-				out = append(out, int(q))
-			}
+	pesDone := false
+	for _, e := range ix.col(ts) {
+		if !pesDone && pesLo <= int(e.lo) {
+			visit(pesLo, pesHi)
+			pesDone = true
 		}
-	})
-	return out
+		visit(int(e.lo), int(e.hi))
+	}
+	if !pesDone {
+		visit(pesLo, pesHi)
+	}
 }
 
-// ptrsInRange returns the pointers whose timestamps fall in [lo, hi].
-func (ix *Index) ptrsInRange(lo, hi int) []int32 {
-	return ix.ptrsFlat[ix.startOfTS[lo]:ix.startOfTS[hi+1]]
-}
-
-// objsAt returns the objects resident at timestamp ts.
-func (ix *Index) objsAt(ts int) []int32 {
-	return ix.objsFlat[ix.objStart[ts]:ix.objStart[ts+1]]
-}
-
-// ListPointsTo returns the objects pointer p may point to, in unspecified
-// order.
-func (ix *Index) ListPointsTo(p int) []int {
+// pointsToRuns calls emit(lo, hi) for each run of positions of the flat
+// object order whose objects make up ListPointsTo(p), in answer order.
+func (ix *Index) pointsToRuns(p int, emit func(lo, hi int)) {
 	ts := ix.tsOfPointer(p)
 	if ts < 0 {
-		return nil
+		return
 	}
-	var out []int
 	// p points to the object(s) of its own PES origin.
-	k := ix.pesOf(ts)
-	for _, o := range ix.objsAt(int(ix.originTS[k])) {
-		out = append(out, int(o))
-	}
+	origin := ix.originTS[ix.pesOf(ts)]
+	emit(int(ix.objStart[origin]), int(ix.objStart[origin+1]))
 	// Case-1 rectangles whose X side covers ts: their Y1 is the timestamp
 	// of an origin whose object(s) p also points to.
 	for _, e := range ix.col(ts) {
 		if e.case1 && !e.mirror {
-			for _, o := range ix.objsAt(int(e.lo)) {
-				out = append(out, int(o))
-			}
+			emit(int(ix.objStart[e.lo]), int(ix.objStart[e.lo+1]))
 		}
 	}
-	return out
 }
 
-// ListPointedBy returns the pointers that may point to object o, in
-// unspecified order.
-func (ix *Index) ListPointedBy(o int) []int {
+// PointedByRuns calls emit(lo, hi) for each run of positions of the flat
+// pointer order whose pointers make up ListPointedBy(o), in answer order,
+// and emits nothing when o is out of range.
+func (ix *Index) PointedByRuns(o int, emit func(lo, hi int)) {
 	if o < 0 || o >= ix.NumObjects {
-		return nil
+		return
 	}
 	ts := int(ix.objectTS[o])
-	var out []int
 	// Every pointer in o's PES points to o.
 	k := ix.pesOf(ts)
-	out = append(out, toInts(ix.ptrsInRange(int(ix.originTS[k]), int(ix.pesEnd[k])))...)
+	emit(int(ix.startOfTS[ix.originTS[k]]), int(ix.startOfTS[ix.pesEnd[k]+1]))
 	// Mirrored Case-1 entries at the origin column: their ranges are the
 	// ξ-reachable subtrees of o's cross edges.
 	for _, e := range ix.col(ts) {
 		if e.case1 && e.mirror {
-			out = append(out, toInts(ix.ptrsInRange(int(e.lo), int(e.hi)))...)
+			emit(int(ix.startOfTS[e.lo]), int(ix.startOfTS[e.hi+1]))
 		}
 	}
-	return out
 }
 
-func toInts(xs []int32) []int {
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[i] = int(x)
+// PointerPos returns p's position in the flat pointer order, or -1 when p
+// is out of range or unplaced. A timestamp's bucket holds its pointers
+// ascending (validate checks this for mapped files), so the position is a
+// binary search away.
+func (ix *Index) PointerPos(p int) int {
+	ts := ix.tsOfPointer(p)
+	if ts < 0 {
+		return -1
 	}
-	return out
+	lo := int(ix.startOfTS[ts])
+	i, ok := slices.BinarySearch(ix.ptrsFlat[lo:ix.startOfTS[ts+1]], int32(p))
+	if !ok {
+		return -1
+	}
+	return lo + i
 }
+
+// PointersAt returns the pointers at positions [lo, hi) of the flat
+// pointer order, a view the caller must not modify.
+func (ix *Index) PointersAt(lo, hi int) []int32 { return ix.ptrsFlat[lo:hi] }
 
 func (ix *Index) tsOfPointer(p int) int {
 	if p < 0 || p >= ix.NumPointers {
@@ -566,12 +603,16 @@ func (ix *Index) tsOfPointer(p int) int {
 // MemoryFootprint reports the resident size of the query structure in
 // bytes (used by the Table-7 "querying memory" column). A zero-copy index
 // charges the full mapped region — exactly the pages the kernel may keep
-// resident for it — which is what internal/store budgets against.
+// resident for it — which is what internal/store budgets against. The ID
+// text table, always on the heap, is charged once it is built.
 func (ix *Index) MemoryFootprint() int64 {
-	if ix.backing != 0 {
-		return ix.backing
-	}
 	var n int64
+	if t := ix.text.Load(); t != nil {
+		n += t.bytes()
+	}
+	if ix.backing != 0 {
+		return n + ix.backing
+	}
 	n += int64(len(ix.pointerTS)+len(ix.objectTS)+len(ix.originTS)+len(ix.pesEnd)+len(ix.pesOfTS)) * 4
 	n += int64(len(ix.ptrsFlat)+len(ix.startOfTS)+len(ix.objsFlat)+len(ix.objStart)+len(ix.entStart)) * 4
 	n += int64(len(ix.ents)) * listEntrySize

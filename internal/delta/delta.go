@@ -31,7 +31,9 @@ import (
 // Index is the query surface shared by core.Index and Snapshot — the four
 // Table-1 queries, the membership test dual, and the dimension/metadata
 // accessors the store and server consume. List answers are duplicate-free
-// and in unspecified order; ListAliases excludes the queried pointer.
+// and in unspecified order; ListAliases excludes the queried pointer. Each
+// Append form appends the bytes json.Marshal writes for its List answer,
+// null and [] included.
 type Index interface {
 	Pointers() int
 	Objects() int
@@ -41,6 +43,9 @@ type Index interface {
 	ListAliases(p int) []int
 	ListPointsTo(p int) []int
 	ListPointedBy(o int) []int
+	AppendAliases(b []byte, p int) []byte
+	AppendPointsTo(b []byte, p int) []byte
+	AppendPointedBy(b []byte, o int) []byte
 	PointsTo(p, o int) bool
 	MemoryFootprint() int64
 	Mapped() bool

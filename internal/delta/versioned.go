@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"pestrie/internal/core"
@@ -48,18 +49,22 @@ type overlay struct {
 	// generation. Pointers absent from dirty are untouched: the base
 	// answer stands.
 	dirty map[int32][]int32
-	// addBy / delBy map an object to the sorted pointers that point at it
-	// now but not in the base, and to the sorted base pointers that no
-	// longer do. Invariants: addBy[o] is disjoint from the base's
-	// pointed-by set, delBy[o] is a subset of it, and both stay consistent
-	// with dirty.
+	// addBy maps an object to the sorted pointers that point at it now but
+	// not in the base; delBy maps it to the base pointers that no longer
+	// do, as their sorted positions in the base's flat pointer order, the
+	// form in which they are cut out of the base answer. Invariants:
+	// addBy[o] is disjoint from the base's pointed-by set, delBy[o] is a
+	// subset of it, and both stay consistent with dirty.
 	addBy map[int32][]int32
 	delBy map[int32][]int32
 	// dirtyPtrs is the sorted key set of dirty, and dirtyBits the same
 	// set as a bitset over the pointer universe: a clean pointer is
-	// recognised without a map lookup.
+	// recognised without a map lookup. dirtyPos holds the sorted base
+	// positions of the dirty pointers the base places, which a clean
+	// pointer's answer cuts out of the base answer.
 	dirtyPtrs []int32
 	dirtyBits []uint64
+	dirtyPos  []int32
 	bytes     int64
 }
 
@@ -100,8 +105,9 @@ func (ov *overlay) finish() {
 	for _, v := range ov.delBy {
 		n += int64(len(v))
 	}
-	// 4 bytes per stored ID plus a flat per-entry charge for map overhead,
-	// plus the dirty bitset.
+	n += int64(len(ov.dirtyPos))
+	// 4 bytes per stored ID or position plus a flat per-entry charge for
+	// map overhead, plus the dirty bitset.
 	ov.bytes = n*4 + int64(len(ov.dirty)+len(ov.addBy)+len(ov.delBy))*48 + int64(len(ov.dirtyBits))*8
 }
 
@@ -178,8 +184,12 @@ func (ov *overlay) apply(base *core.Index, s *Segment) (*overlay, error) {
 	out.dirtyBits = make([]uint64, (s.NumPointers+63)/64)
 	copy(out.dirtyBits, ov.dirtyBits)
 	out.dirtyPtrs = make([]int32, 0, len(ov.dirtyPtrs)+len(s.Runs))
+	out.dirtyPos = slices.Clone(ov.dirtyPos)
 	rest := ov.dirtyPtrs
 	for _, r := range s.Runs {
+		// pos is -1 for a pointer the base does not place, which has no
+		// base facts to cut.
+		pos := int32(base.PointerPos(int(r.Ptr)))
 		cur, wasDirty := out.dirty[r.Ptr]
 		if !wasDirty {
 			cur = basePts(base, r.Ptr)
@@ -187,6 +197,10 @@ func (ov *overlay) apply(base *core.Index, s *Segment) (*overlay, error) {
 			out.dirtyPtrs = append(append(out.dirtyPtrs, rest[:i]...), r.Ptr)
 			rest = rest[i:]
 			out.dirtyBits[r.Ptr>>6] |= 1 << (r.Ptr & 63)
+			if pos >= 0 {
+				j, _ := slices.BinarySearch(out.dirtyPos, pos)
+				out.dirtyPos = slices.Insert(out.dirtyPos, j, pos)
+			}
 		}
 		next := append([]int32(nil), cur...)
 		for _, o := range r.Del {
@@ -195,7 +209,7 @@ func (ov *overlay) apply(base *core.Index, s *Segment) (*overlay, error) {
 			}
 			next = removeSorted(next, o)
 			if base.PointsTo(int(r.Ptr), int(o)) {
-				out.delBy[o] = insertSorted(out.delBy[o], r.Ptr)
+				out.delBy[o] = insertSorted(out.delBy[o], pos)
 			} else {
 				out.addBy[o] = removeSorted(out.addBy[o], r.Ptr)
 				if len(out.addBy[o]) == 0 {
@@ -209,7 +223,7 @@ func (ov *overlay) apply(base *core.Index, s *Segment) (*overlay, error) {
 			}
 			next = insertSorted(next, o)
 			if base.PointsTo(int(r.Ptr), int(o)) {
-				out.delBy[o] = removeSorted(out.delBy[o], r.Ptr)
+				out.delBy[o] = removeSorted(out.delBy[o], pos)
 				if len(out.delBy[o]) == 0 {
 					delete(out.delBy, o)
 				}
@@ -305,6 +319,18 @@ func (sn *Snapshot) ListPointsTo(p int) []int {
 	return sn.base.ListPointsTo(p)
 }
 
+// AppendPointsTo appends to b the bytes json.Marshal writes for
+// ListPointsTo(p).
+func (sn *Snapshot) AppendPointsTo(b []byte, p int) []byte {
+	if p < 0 || p >= sn.Pointers() {
+		return append(b, "null"...)
+	}
+	if row, ok := sn.dirtyRow(p); ok {
+		return appendArray(b, row)
+	}
+	return sn.base.AppendPointsTo(b, p)
+}
+
 // ListPointedBy returns the pointers pointing to o at this generation: the
 // base answer minus the removed pointers plus the added ones. Added
 // pointers are disjoint from the base set by overlay invariant, so the
@@ -316,19 +342,86 @@ func (sn *Snapshot) ListPointedBy(o int) []int {
 	if sn.ov == nil {
 		return sn.base.ListPointedBy(o)
 	}
-	del := sn.ov.delBy[int32(o)]
-	add := sn.ov.addBy[int32(o)]
-	baseAns := sn.base.ListPointedBy(o)
-	out := make([]int, 0, len(baseAns)+len(add))
-	for _, p := range baseAns {
-		if !contains(del, int32(p)) {
-			out = append(out, p)
-		}
+	runs := sn.pointedByRuns(o)
+	n := 0
+	runs(func(lo, hi int) { n += hi - lo })
+	return sn.collectOverlay(n, runs, sn.ov.addBy[int32(o)])
+}
+
+// AppendPointedBy appends to b the bytes json.Marshal writes for
+// ListPointedBy(o): the base runs copied from the base's text table, then
+// the added pointers formatted.
+func (sn *Snapshot) AppendPointedBy(b []byte, o int) []byte {
+	if o < 0 || o >= sn.Objects() {
+		return append(b, "null"...)
 	}
-	for _, p := range add {
+	if sn.ov == nil {
+		return sn.base.AppendPointedBy(b, o)
+	}
+	runs := sn.pointedByRuns(o)
+	n := 0
+	runs(sn.textLen(&n))
+	return sn.appendOverlay(b, n, runs, sn.ov.addBy[int32(o)])
+}
+
+// pointedByRuns visits the runs of the base's ListPointedBy(o) left after
+// the pointers that no longer point to o are cut out.
+func (sn *Snapshot) pointedByRuns(o int) func(emit func(lo, hi int)) {
+	del := sn.ov.delBy[int32(o)]
+	return func(emit func(lo, hi int)) { sn.base.PointedByRuns(o, cutting(del, emit, nil)) }
+}
+
+// aliasRuns visits the runs of the base's ListAliases(p) left after the
+// dirty pointers are cut out.
+func (sn *Snapshot) aliasRuns(p int) func(emit func(lo, hi int)) {
+	return func(emit func(lo, hi int)) { sn.base.AliasRuns(p, cutting(sn.ov.dirtyPos, emit, nil)) }
+}
+
+// collectOverlay returns an overlay answer, never nil: the pointers of
+// the base runs, n of them, then the tail.
+func (sn *Snapshot) collectOverlay(n int, runs func(emit func(lo, hi int)), tail []int32) []int {
+	out := make([]int, 0, n+len(tail))
+	runs(func(lo, hi int) {
+		for _, p := range sn.base.PointersAt(lo, hi) {
+			out = append(out, int(p))
+		}
+	})
+	for _, p := range tail {
 		out = append(out, int(p))
 	}
 	return out
+}
+
+// textLen returns an emitter that adds the text length of each run to *n.
+func (sn *Snapshot) textLen(n *int) func(lo, hi int) {
+	return func(lo, hi int) { *n += len(sn.base.PointerText(lo, hi)) }
+}
+
+// appendOverlay appends an overlay answer as JSON, never null: the text of
+// the base runs, n bytes, then the tail formatted, growing b once to fit.
+func (sn *Snapshot) appendOverlay(b []byte, n int, runs func(emit func(lo, hi int)), tail []int32) []byte {
+	b = slices.Grow(b, n+textCap(tail)+2)
+	b = append(b, '[')
+	runs(func(lo, hi int) { b = append(b, sn.base.PointerText(lo, hi)...) })
+	return closeArray(appendIDs(b, tail))
+}
+
+// cutting returns an emitter that passes each run on to emit with the
+// positions in cut, which is sorted, left out, calling hit(pos) for each
+// position it leaves out when hit is non-nil. Runs may come in any order:
+// each finds its first cut by binary search.
+func cutting(cut []int32, emit func(lo, hi int), hit func(pos int)) func(lo, hi int) {
+	return func(lo, hi int) {
+		i, _ := slices.BinarySearch(cut, int32(lo))
+		for ; i < len(cut) && int(cut[i]) < hi; i++ {
+			emit(lo, int(cut[i]))
+			lo = int(cut[i]) + 1
+			if hit != nil {
+				hit(int(cut[i]))
+			}
+		}
+		emit(lo, hi)
+	}
 }
 
 // IsAlias reports whether the points-to sets of p and q intersect at this
@@ -392,36 +485,51 @@ func (sn *Snapshot) ListAliases(p int) []int {
 		sort.Ints(out)
 		return out
 	}
-	// Clean pointer: the base answer is correct for every clean q (both
-	// sets unchanged). A dirty q aliases p through an object o of p's
-	// unchanged set: if q pointed to o in the base, q is in the base answer
-	// and is re-decided against its overlay row; if not, q is in addBy[o].
-	// The clean answers keep the base order and the dirty ones follow,
-	// ascending. The base answer is freshly allocated, so it is filtered
-	// in place.
-	out := sn.base.ListAliases(p)
-	if out == nil {
-		out = []int{} // an overlay answer is never null on the wire
-	}
-	rowP := basePts(sn.base, int32(p))
-	var dirty []int
 	n := 0
-	for _, q := range out {
-		switch {
-		case !sn.ov.isDirty(q):
-			out[n] = q
-			n++
-		case intersects(rowP, sn.ov.dirty[int32(q)]):
-			dirty = append(dirty, q)
-		}
+	tail := sn.cleanAliases(p, func(lo, hi int) { n += hi - lo })
+	return sn.collectOverlay(n, sn.aliasRuns(p), tail)
+}
+
+// AppendAliases appends to b the bytes json.Marshal writes for
+// ListAliases(p). A clean pointer's answer copies the base runs from the
+// base's text table; a dirty pointer's is formatted.
+func (sn *Snapshot) AppendAliases(b []byte, p int) []byte {
+	if p < 0 || p >= sn.Pointers() {
+		return append(b, "null"...)
 	}
+	if sn.ov == nil {
+		return sn.base.AppendAliases(b, p)
+	}
+	if sn.ov.isDirty(p) {
+		return appendArray(b, sn.ListAliases(p))
+	}
+	n := 0
+	tail := sn.cleanAliases(p, sn.textLen(&n))
+	return sn.appendOverlay(b, n, sn.aliasRuns(p), tail)
+}
+
+// cleanAliases visits the answer of a clean pointer p at an overlay
+// generation. It calls emit with each run of the base answer left after
+// the dirty pointers are cut out, and returns the dirty pointers that
+// alias p now, ascending: the clean answers keep the base order and the
+// dirty ones follow. The base answer is correct for every clean q (both
+// sets unchanged). A dirty q aliases p through an object o of p's
+// unchanged set: if q pointed to o in the base, q is cut from the base
+// answer and re-decided against its overlay row; if not, q is in addBy[o].
+func (sn *Snapshot) cleanAliases(p int, emit func(lo, hi int)) []int32 {
+	rowP := basePts(sn.base, int32(p))
+	var tail []int32
+	sn.base.AliasRuns(p, cutting(sn.ov.dirtyPos, emit, func(pos int) {
+		q := sn.base.PointersAt(pos, pos+1)[0]
+		if intersects(rowP, sn.ov.dirty[q]) {
+			tail = append(tail, q)
+		}
+	}))
 	for _, o := range rowP {
-		for _, q := range sn.ov.addBy[o] {
-			dirty = append(dirty, int(q))
-		}
+		tail = append(tail, sn.ov.addBy[o]...)
 	}
-	slices.Sort(dirty)
-	return append(out[:n], slices.Compact(dirty)...)
+	slices.Sort(tail)
+	return slices.Compact(tail)
 }
 
 // DirtyPointers returns the sorted pointers whose points-to sets differ
@@ -595,4 +703,46 @@ func (v *Versioned) Close() error {
 	var err error
 	v.once.Do(func() { err = v.hold.release() })
 	return err
+}
+
+// The formatter below writes the IDs no text table holds: dirty rows,
+// dirty pointers' answers, and the tails of overlay answers. Its entries
+// take the form of core's text table, each ID followed by a comma, so the
+// two concatenate into one array.
+
+// appendArray appends ids as json.Marshal writes a non-nil slice.
+func appendArray[T int | int32](b []byte, ids []T) []byte {
+	b = slices.Grow(b, textCap(ids)+2)
+	return closeArray(appendIDs(append(b, '['), ids))
+}
+
+// appendIDs appends each ID's decimal text followed by a comma.
+func appendIDs[T int | int32](b []byte, ids []T) []byte {
+	for _, id := range ids {
+		b = append(strconv.AppendInt(b, int64(id), 10), ',')
+	}
+	return b
+}
+
+// closeArray ends an array that b opened with '[': the comma after its
+// last ID becomes the ']', or the array is empty.
+func closeArray(b []byte) []byte {
+	if b[len(b)-1] == ',' {
+		b[len(b)-1] = ']'
+		return b
+	}
+	return append(b, ']')
+}
+
+// textCap bounds the bytes appendIDs writes for ids: no ID is wider than
+// the largest.
+func textCap[T int | int32](ids []T) int {
+	if len(ids) == 0 {
+		return 0
+	}
+	width := 2
+	for hi := slices.Max(ids); hi >= 10; hi /= 10 {
+		width++
+	}
+	return len(ids) * width
 }

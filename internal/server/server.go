@@ -8,7 +8,7 @@
 //	POST /query        one Table-1 query  {"backend","op","p","q","o"}
 //	POST /batch        many queries       {"backend","queries":[...]}, answered in order
 //	GET  /backends     catalogued indexes and their dimensions
-//	GET  /debug/stats  per-backend/per-op counters, latency histograms, answer-cache counters
+//	GET  /debug/stats  per-backend/per-op counters and latency histograms
 //	GET  /debug/store  store lifecycle state (budget, evictions, generations)
 //	GET  /healthz      liveness probe
 //
@@ -19,14 +19,12 @@
 // request pins its generation for the request's whole duration, so
 // eviction and hot-swap never free or tear an index mid-query.
 //
-// Answers are produced by calling the underlying *core.Index directly and
-// encoding its return value verbatim, so a server response is
-// byte-identical to what an in-process caller would encode. The Index is
-// immutable after Load, which is what makes the whole service a pile of
-// lock-free concurrent readers (pinned by the package's -race tests).
-// List answers also land in a byte-budgeted LRU keyed on the version tag
-// of the generation the request pinned, so a repeated query is answered
-// from the encoded bytes of its first answer (see cache.go).
+// List answers are the bytes the index's Append methods write, which are
+// what json.Marshal writes for its List methods' return values, so a
+// server response is byte-identical to what an in-process caller would
+// encode. The Index is immutable after Load, which is what makes the
+// whole service a pile of lock-free concurrent readers (pinned by the
+// package's -race tests).
 package server
 
 import (
@@ -37,7 +35,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -87,9 +84,6 @@ func (o Options) withDefaults() Options {
 }
 
 const (
-	// cacheBudget bounds the answer cache's approximate memory footprint.
-	cacheBudget = 64 << 20
-
 	// Request bodies are read through http.MaxBytesReader, so one request
 	// cannot make the decoder allocate without bound. A query spelled out
 	// with three 10-digit IDs is under 80 bytes; queryBytes leaves room for
@@ -111,7 +105,6 @@ var errUnnamedBackend = errors.New("request must name one")
 type Server struct {
 	opts  Options
 	start time.Time
-	cache *answerCache
 
 	mu       sync.RWMutex        // guards backends registration; reads on hot path
 	backends map[string]*backend // per-backend stats, created on first query
@@ -148,7 +141,6 @@ func New(opts Options) *Server {
 	return &Server{
 		opts:     opts.withDefaults(),
 		start:    time.Now(),
-		cache:    newAnswerCache(cacheBudget),
 		backends: make(map[string]*backend),
 	}
 }
@@ -182,9 +174,9 @@ func (s *Server) statsFor(name string) *backend {
 // resolve pins the generation a request's backend name currently serves.
 // The handle's Index answers the request and its VersionTag names the
 // content the answers correspond to — the generation a /batch reply
-// reports and the answer cache keys on. The empty name is allowed when
-// exactly one backend is catalogued. The caller must Release the handle
-// when the request is done.
+// reports. The empty name is allowed when exactly one backend is
+// catalogued. The caller must Release the handle when the request is
+// done.
 func (s *Server) resolve(ctx context.Context, name string) (*backend, *store.Handle, error) {
 	if name == "" {
 		names := s.opts.Store.Names()
@@ -210,8 +202,9 @@ type Query struct {
 }
 
 // Result is the answer to one Query. For list ops, IDs holds the JSON
-// encoding of the exact []int the Index returned — the byte-identical
-// contract. Err is set instead when the query is malformed.
+// encoding of the exact []int the Index's List method returns, as its
+// Append method writes it — the byte-identical contract. Err is set
+// instead when the query is malformed.
 type Result struct {
 	Alias *bool           `json:"alias,omitempty"`
 	IDs   json.RawMessage `json:"ids,omitempty"`
@@ -222,11 +215,8 @@ type Result struct {
 // index is passed in (rather than read from b) because each request pins
 // a possibly different generation — a plain decoded base, or a
 // delta-chain snapshot whose answers are frozen at that generation's
-// stamp — and tag is that generation's version tag.
-// List answers are served from the answer cache under (backend, tag,
-// query); isalias is cheaper to answer than to look up, so it is not
-// cached.
-func (s *Server) exec(b *backend, ix delta.Index, tag string, q Query) Result {
+// stamp.
+func (s *Server) exec(b *backend, ix delta.Index, q Query) Result {
 	// Start the clock before validation: error responses cost real time
 	// too, and a histogram that only sees successes reports flattering
 	// latencies the moment clients start sending malformed queries.
@@ -246,7 +236,6 @@ func (s *Server) exec(b *backend, ix delta.Index, tag string, q Query) Result {
 	}
 	var res Result
 	var err error
-	var list func() []int
 	switch q.Op {
 	case "isalias":
 		var p, qq int
@@ -259,25 +248,17 @@ func (s *Server) exec(b *backend, ix delta.Index, tag string, q Query) Result {
 	case "aliases":
 		var p int
 		if p, err = need("p", q.P, ix.Pointers()); err == nil {
-			list = func() []int { return ix.ListAliases(p) }
+			res.IDs = ix.AppendAliases(nil, p)
 		}
 	case "pointsto":
 		var p int
 		if p, err = need("p", q.P, ix.Pointers()); err == nil {
-			list = func() []int { return ix.ListPointsTo(p) }
+			res.IDs = ix.AppendPointsTo(nil, p)
 		}
 	case "pointedby":
 		var o int
 		if o, err = need("o", q.O, ix.Objects()); err == nil {
-			list = func() []int { return ix.ListPointedBy(o) }
-		}
-	}
-	if list != nil {
-		key := queryKey(b.name, tag, q)
-		var hit bool
-		if res, hit = s.cache.get(key); !hit {
-			res.IDs = marshalIDs(list())
-			s.cache.put(key, res)
+			res.IDs = ix.AppendPointedBy(nil, o)
 		}
 	}
 	if err != nil {
@@ -290,40 +271,13 @@ func (s *Server) exec(b *backend, ix delta.Index, tag string, q Query) Result {
 	return res
 }
 
-// marshalIDs encodes the index's return value verbatim, in the bytes
-// json.Marshal writes for it: nil stays null, empty stays [], order is
-// untouched.
-func marshalIDs(ids []int) json.RawMessage {
-	if ids == nil {
-		return json.RawMessage("null")
-	}
-	if len(ids) == 0 {
-		return json.RawMessage("[]")
-	}
-	// Size the buffer once: no ID is wider than the largest. The bytes
-	// may sit in the answer cache, so they should not carry much slack.
-	width := 1
-	for hi := slices.Max(ids); hi >= 10; hi /= 10 {
-		width++
-	}
-	b := make([]byte, 0, 1+len(ids)*(width+1))
-	b = append(b, '[')
-	for i, id := range ids {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(id), 10)
-	}
-	return append(b, ']')
-}
-
 // runBatch answers queries in order on the calling goroutine, the
 // request's own (DESIGN.md, "One goroutine per batch"). ctx is checked
 // before each query; once it is done, every query left unanswered gets
 // an explicit per-result error — a zero-value Result would read as a
 // legitimate empty answer, silently truncating the batch — and the count
 // of those is returned so callers can surface and meter the truncation.
-func (s *Server) runBatch(ctx context.Context, b *backend, ix delta.Index, tag string, queries []Query) ([]Result, int) {
+func (s *Server) runBatch(ctx context.Context, b *backend, ix delta.Index, queries []Query) ([]Result, int) {
 	results := make([]Result, len(queries))
 	for i, q := range queries {
 		if err := ctx.Err(); err != nil {
@@ -334,7 +288,7 @@ func (s *Server) runBatch(ctx context.Context, b *backend, ix delta.Index, tag s
 			}
 			return results, len(queries) - i
 		}
-		results[i] = s.exec(b, ix, tag, q)
+		results[i] = s.exec(b, ix, q)
 	}
 	return results, 0
 }
@@ -385,9 +339,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // in one Write, ending it with the newline json.Encoder writes. Those two
 // append the bytes json.Encoder would write but copy encoded IDs
 // verbatim: the encoder re-validates and compacts every json.RawMessage,
-// cached answers included, and that cost half the server's CPU under
-// pbench serve-zipf (DESIGN.md, "Reply encoding"). FuzzReplyEncoding
-// holds them to encoding/json.
+// and that cost half the server's CPU under pbench serve-zipf (DESIGN.md,
+// "Reply encoding"). FuzzReplyEncoding holds them to encoding/json.
 func writeReply(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -410,8 +363,9 @@ func batchBytes(br BatchResponse) int {
 }
 
 // appendResult appends the encoding of r: fields in struct order, each
-// omitted when empty, and IDs verbatim, since they are marshalIDs output
-// and hold nothing encoding/json would compact or escape.
+// omitted when empty, and IDs verbatim, since they are an index's Append
+// output, json.Marshal's bytes for an []int, and hold nothing
+// encoding/json would compact or escape.
 func appendResult(b []byte, r Result) []byte {
 	b = append(b, '{')
 	// No field value ends in '{', so it marks that none is written yet.
@@ -503,7 +457,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer h.Release()
-	res := s.exec(b, h.Index(), h.VersionTag(), req.Query)
+	res := s.exec(b, h.Index(), req.Query)
 	status := http.StatusOK
 	if res.Err != "" {
 		status = http.StatusBadRequest
@@ -554,9 +508,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer h.Release()
-	tag := h.VersionTag()
 	start := time.Now()
-	results, unanswered := s.runBatch(r.Context(), b, h.Index(), tag, req.Queries)
+	results, unanswered := s.runBatch(r.Context(), b, h.Index(), req.Queries)
 	st := b.stats["batch"]
 	st.count.Add(1)
 	st.lat.Observe(time.Since(start))
@@ -569,7 +522,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// One buffer per reply, sized once. A pool was measured to gain
 	// nothing, and it would pin the largest reply it ever held.
-	br := BatchResponse{Results: results, Generation: tag, Unanswered: unanswered}
+	br := BatchResponse{Results: results, Generation: h.VersionTag(), Unanswered: unanswered}
 	writeReply(w, http.StatusOK, appendBatch(make([]byte, 0, batchBytes(br)), br))
 }
 
@@ -627,7 +580,6 @@ type OpStats struct {
 type Stats struct {
 	UptimeMS int64                         `json:"uptime_ms"`
 	Backends map[string]map[string]OpStats `json:"backends"`
-	Cache    CacheStats                    `json:"cache"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -641,7 +593,6 @@ func (s *Server) Stats() Stats {
 	out := Stats{
 		UptimeMS: time.Since(s.start).Milliseconds(),
 		Backends: make(map[string]map[string]OpStats, len(s.backends)),
-		Cache:    s.cache.stats(),
 	}
 	for name, b := range s.backends {
 		ops := make(map[string]OpStats, len(b.stats))

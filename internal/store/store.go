@@ -288,9 +288,10 @@ func (s *Store) add(name, path string, fromDir bool) error {
 
 // AddIndex registers an index already in memory as a resident entry. It is
 // loaded from the start and carries one pin that is never released, so
-// eviction skips it; it has no file, so Refresh skips it. Its footprint is
-// charged to the budget, and its version tag is "s:<dims>" (see
-// residentTag). The store does not close ix.
+// eviction skips it; it has no file, so Refresh skips it. Its footprint,
+// ID text table included (built here), is charged to the budget, and its
+// version tag is "s:<dims>" (see residentTag). The store does not close
+// ix.
 func (s *Store) AddIndex(name string, ix *core.Index) error {
 	if name == "" {
 		return errors.New("store: empty backend name")
@@ -302,6 +303,7 @@ func (s *Store) AddIndex(name string, ix *core.Index) error {
 	if err != nil {
 		return err
 	}
+	ix.BuildIDText()
 	g := &generation{ix: ix, vx: vx, bytes: ix.MemoryFootprint(), tag: residentTag(ix), refs: 1}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -548,6 +550,9 @@ func loadGeneration(path string) (*generation, dims, error) {
 			return nil, dims{}, err
 		}
 	}
+	// Build the text table list answers are copied from now, so the
+	// generation's charge includes it from the start.
+	ix.BuildIDText()
 	note := ""
 	var segs []*delta.Segment
 	if chain, cerr := delta.BuildChain(path, delta.HintOf(sum)); cerr != nil {

@@ -18,7 +18,9 @@ import (
 )
 
 // pesBytes encodes a random matrix into a .pes image plus its directly
-// decoded reference index.
+// decoded reference index. The reference's ID text table is built, as the
+// store builds it when it loads a generation, so its MemoryFootprint is
+// what the store charges for the image.
 func pesBytes(t *testing.T, seed int64, np, no, edges int) ([]byte, *core.Index) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -34,6 +36,7 @@ func pesBytes(t *testing.T, seed int64, np, no, edges int) ([]byte, *core.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix.BuildIDText()
 	return buf.Bytes(), ix
 }
 
@@ -112,6 +115,14 @@ func TestLazyLoadHitAndCounters(t *testing.T) {
 	e := st.Backends[0]
 	if !e.Loaded || e.Bytes != ref.MemoryFootprint() || e.Pinned != 0 {
 		t.Fatalf("entry snapshot: %+v", e)
+	}
+	// The charge includes the ID text table the store built at load.
+	bare, err := core.Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Bytes <= bare.MemoryFootprint() {
+		t.Fatalf("charged %d bytes, no more than the index without its text table (%d)", e.Bytes, bare.MemoryFootprint())
 	}
 	if e.Pointers != ref.NumPointers || e.Rectangles != ref.Rectangles() {
 		t.Fatalf("entry dims: %+v", e)

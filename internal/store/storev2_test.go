@@ -34,6 +34,18 @@ func pesBytesV2(t *testing.T, np, no int) ([]byte, *core.Index) {
 	return buf.Bytes(), ix
 }
 
+// mappedCharge is what the store charges for a mapped PES2 image: the
+// file size plus the ID text table it builds on the heap at load.
+func mappedCharge(t *testing.T, raw []byte) int64 {
+	t.Helper()
+	ix, err := core.LoadMapped(raw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.BuildIDText()
+	return ix.MemoryFootprint()
+}
+
 // TestSingleflightSharesLoadError is the regression test for the error
 // side of load deduplication: when N goroutines race Acquire on a cold
 // entry whose file fails to load, the file must be attempted exactly once
@@ -122,7 +134,8 @@ func TestErrDuplicateSentinel(t *testing.T) {
 
 // TestStoreServesMappedV2 exercises the zero-copy path end to end through
 // the store: a PES2 file is mapped rather than decoded, answers queries
-// identically, is charged at its file size, and is unmapped on eviction.
+// identically, is charged at its file size plus its heap text table, and
+// is unmapped on eviction.
 func TestStoreServesMappedV2(t *testing.T) {
 	dir := t.TempDir()
 	raw, ref := pesBytesV2(t, 120, 30)
@@ -145,12 +158,16 @@ func TestStoreServesMappedV2(t *testing.T) {
 	if len(st.Backends) != 1 || !st.Backends[0].Mapped {
 		t.Fatalf("snapshot does not report the mapped generation: %+v", st.Backends)
 	}
-	if st.Backends[0].Bytes != int64(len(raw)) {
-		t.Fatalf("mapped generation charged %d bytes, want file size %d",
-			st.Backends[0].Bytes, len(raw))
+	want := mappedCharge(t, raw)
+	if want <= int64(len(raw)) {
+		t.Fatalf("mapped charge %d does not exceed the file size %d", want, len(raw))
 	}
-	if st.LoadedBytes != int64(len(raw)) {
-		t.Fatalf("store total %d, want %d", st.LoadedBytes, len(raw))
+	if st.Backends[0].Bytes != want {
+		t.Fatalf("mapped generation charged %d bytes, want file size plus text table %d",
+			st.Backends[0].Bytes, want)
+	}
+	if st.LoadedBytes != want {
+		t.Fatalf("store total %d, want %d", st.LoadedBytes, want)
 	}
 	h.Release()
 
@@ -230,8 +247,8 @@ func TestHotSwapV1ToV2(t *testing.T) {
 	if st.Swaps != 1 {
 		t.Fatalf("swaps = %d, want 1", st.Swaps)
 	}
-	if st.LoadedBytes != int64(len(rawV2)) {
-		t.Fatalf("after swap and release, total %d, want just the mapped file %d",
-			st.LoadedBytes, len(rawV2))
+	if want := mappedCharge(t, rawV2); st.LoadedBytes != want {
+		t.Fatalf("after swap and release, total %d, want just the mapped file's charge %d",
+			st.LoadedBytes, want)
 	}
 }

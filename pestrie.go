@@ -293,9 +293,9 @@ var (
 // QueryServer serves the indexes of one Store as a concurrent HTTP/JSON
 // query service: the four Table-1 queries plus a batch endpoint, each
 // batch answered in order on its request's goroutine, with per-backend
-// counters, latency histograms, and answer-cache counters at /debug/stats
-// and the store's lifecycle at /debug/store. Served answers, cached ones
-// included, are byte-identical to direct Index calls.
+// counters and latency histograms at /debug/stats and the store's
+// lifecycle at /debug/store. Served answers are byte-identical to direct
+// Index calls.
 type QueryServer = server.Server
 
 // QueryServerOptions tune the request timeout and the batch size limit,
