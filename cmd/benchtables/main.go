@@ -12,11 +12,10 @@
 //
 // Tables: 2, fig1, 7, 8, fig7, ablation, build, all, plus anders (run
 // only when named — it measures the constraint engine, not a paper
-// table). The build experiment measures construction and -j1 vs -jN
-// decode (see internal/exper's BuildBench); the anders experiment
-// measures constraint solving at -j1 and -jN over the program presets
-// (`ptagen list`). -j sizes the pools and -json additionally writes the
-// experiment's rows as JSON.
+// table). The build experiment measures construction and decode (see
+// internal/exper's BuildBench); the anders experiment measures constraint
+// solving over the program presets (`ptagen list`). -json additionally
+// writes the experiment's rows as JSON.
 package main
 
 import (
@@ -43,13 +42,12 @@ func run(args []string, w io.Writer) error {
 	scale := fs.Float64("scale", 0.01, "benchmark scale vs the paper's sizes")
 	presets := fs.String("presets", "", "comma-separated preset names (default: all 12)")
 	stride := fs.Int("stride", 0, "base-pointer stride (0 = auto ≈1000 base pointers)")
-	jobs := fs.Int("j", 0, "worker-pool size for the parallel columns (0 = GOMAXPROCS)")
 	jsonOut := fs.String("json", "", "also write the build/anders experiment's rows as JSON to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	opts := &exper.Options{Scale: *scale, BaseStride: *stride, Workers: *jobs}
+	opts := &exper.Options{Scale: *scale, BaseStride: *stride}
 	if *presets != "" {
 		opts.Presets = strings.Split(*presets, ",")
 	}

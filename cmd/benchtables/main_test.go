@@ -38,7 +38,7 @@ func TestRunAll(t *testing.T) {
 
 func TestRunAndersTable(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-table", "anders", "-presets", "anders-base", "-j", "2"}, &sb); err != nil {
+	if err := run([]string{"-table", "anders", "-presets", "anders-base"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

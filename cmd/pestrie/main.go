@@ -4,7 +4,7 @@
 // Usage:
 //
 //	pestrie encode -in pm.ptm -out pm.pes [-v2] [-random-order] [-merge-objects]
-//	pestrie info -in pm.pes [-j N]
+//	pestrie info -in pm.pes
 //	pestrie query -in pm.pes -op isalias -p 3 -q 7
 //	pestrie query -in pm.pes -op aliases|pointsto -p 3 [-at gen|head]
 //	pestrie query -in pm.pes -op pointedby -o 5
@@ -480,14 +480,13 @@ func encode(args []string) error {
 func info(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
 	in := fs.String("in", "", "persistent file (.pes)")
-	jobs := fs.Int("j", 0, "decode worker count (0 = GOMAXPROCS, 1 = sequential)")
 	fs.Parse(args)
 	if *in == "" {
 		return fmt.Errorf("info needs -in")
 	}
 	var idx *pestrie.Index
 	var err error
-	dur := perf.Time(func() { idx, err = core.OpenFileWith(*in, *jobs) })
+	dur := perf.Time(func() { idx, err = core.OpenFile(*in) })
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	ptagen preset -name fop -scale 0.01 -out fop.ptm
-//	ptagen analyze -ir prog.ir -clone 1 -j 4 -out prog.ptm [-names prog.names]
+//	ptagen analyze -ir prog.ir -clone 1 -out prog.ptm [-names prog.names]
 //	ptagen random -funcs 20 -vars 8 -stmts 30 -seed 7 -out prog.ir
 //	ptagen random -preset anders-web -out prog.ir
 //	ptagen mutate -preset fop -steps 5 -out dir/fop [-final-ptm fop5.ptm]
@@ -148,7 +148,6 @@ func analyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	irPath := fs.String("ir", "", "pointer-IR source file")
 	clone := fs.Int("clone", 0, "k-callsite cloning depth (0 = context-insensitive)")
-	workers := fs.Int("j", 0, "solver worker count (0 = GOMAXPROCS); the matrix is identical for any value")
 	out := fs.String("out", "", "output matrix file (.ptm)")
 	names := fs.String("names", "", "optional output file mapping IDs to IR names")
 	fs.Parse(args)
@@ -168,17 +167,13 @@ func analyze(args []string) error {
 		fmt.Fprintf(os.Stderr, "ptagen: warning: %s\n", w)
 	}
 	var res *pestrie.AnalysisResult
-	dur := perf.Time(func() {
-		res, err = pestrie.AnalyzeWith(prog, pestrie.AnalysisOptions{
-			CloneDepth: *clone, Workers: *workers,
-		})
-	})
+	dur := perf.Time(func() { res, err = pestrie.Analyze(prog, *clone) })
 	if err != nil {
 		return err
 	}
 	st := res.Stats
-	fmt.Printf("analyzed %d statements in %s (-j%d): %d constraints over %d vars, cycles merged %d, %d rounds\n",
-		prog.NumStmts(), dur, st.Workers, st.Constraints, st.Vars, st.CycleMerged, st.Rounds)
+	fmt.Printf("analyzed %d statements in %s: %d constraints over %d vars, cycles merged %d, %d rounds\n",
+		prog.NumStmts(), dur, st.Constraints, st.Vars, st.CycleMerged, st.Rounds)
 	if *names != "" {
 		if err := writeNames(res, *names); err != nil {
 			return err

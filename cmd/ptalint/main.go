@@ -57,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	backend := fs.String("backend", "pestrie", "query backend: pestrie | demand")
 	pesPath := fs.String("pes", "", "persisted Pestrie file to query (pestrie backend); built in memory when empty")
 	clone := fs.Int("clone", 0, "k-callsite cloning depth (0 = context-insensitive)")
-	workers := fs.Int("j", 0, "solver worker count (0 = GOMAXPROCS); findings are identical for any value")
 	roots := fs.String("roots", "main", "function whose locals form the leak checker's root set")
 	incremental := fs.Bool("incremental", false, "apply the delta chain next to -pes and re-check only the dirtied region")
 	noWarn := fs.Bool("no-warn", false, "suppress IR lint warnings")
@@ -83,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	res, err := anders.Analyze(prog, &anders.Options{CloneDepth: *clone, Workers: *workers})
+	res, err := anders.Analyze(prog, &anders.Options{CloneDepth: *clone})
 	if err != nil {
 		return err
 	}

@@ -13,11 +13,10 @@
 //     elimination.
 //  2. Wave propagation: the condensed copy graph is topologically
 //     levelized and point-to deltas are pulled level by level; each round
-//     then scans the loads and stores over an internal/par worker pool to
-//     add the copy edges their new points-to members imply. The computed
-//     matrix is identical for every worker count — Andersen's least
-//     fixpoint is unique, and every table the solver emits is derived
-//     deterministically from the input program alone.
+//     then scans the loads and stores to add the copy edges their new
+//     points-to members imply. Andersen's least fixpoint is unique, and
+//     every table the solver emits is derived deterministically from the
+//     input program alone.
 //
 // Beyond the base analysis it provides call-site cloning (heap cloning
 // included), which materializes k-callsite context sensitivity by program
@@ -34,7 +33,6 @@ import (
 	"pestrie/internal/bitset"
 	"pestrie/internal/ir"
 	"pestrie/internal/matrix"
-	"pestrie/internal/par"
 )
 
 // Result is the outcome of an analysis: the points-to matrix plus the
@@ -68,8 +66,6 @@ type Stats struct {
 	CycleMerged int
 	// Rounds counts wave-propagation rounds to fixpoint.
 	Rounds int
-	// Workers is the resolved deref-scan pool size.
-	Workers int
 }
 
 // PointerID returns the matrix row of the named pointer ("func.var"), or
@@ -96,11 +92,6 @@ type Options struct {
 	// call chain of length up to CloneDepth. 0 is context-insensitive.
 	// Recursive call edges are never cloned.
 	CloneDepth int
-
-	// Workers sizes the worker pool of the per-round deref scan: <= 0
-	// selects GOMAXPROCS, 1 solves strictly sequentially. The resulting
-	// matrix and name tables are identical for every worker count.
-	Workers int
 }
 
 // nodeID is a solver variable (a pointer).
@@ -157,9 +148,8 @@ func Analyze(prog *ir.Program, opts *Options) (*Result, error) {
 		Vars:        len(s.varName),
 		Objects:     len(s.objName),
 		Constraints: len(s.base) + len(s.copyC) + len(s.loadC) + len(s.storeC),
-		Workers:     par.Workers(opts.Workers),
 	}
-	w := newWaveSolver(s, stats.Workers)
+	w := newWaveSolver(s)
 	w.solve()
 	stats.CycleMerged = stats.Vars - w.uf.reps()
 	stats.Rounds = w.rounds

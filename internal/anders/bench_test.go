@@ -33,26 +33,18 @@ func BenchmarkAnalyzeCloneDepth1(b *testing.B) {
 	}
 }
 
-// BenchmarkSolvePreset measures the engine on the named program presets
-// across worker counts; `benchtables -table anders` reports the same grid
-// with derived metrics.
+// BenchmarkSolvePreset measures the engine on the named program presets;
+// `benchtables -table anders` reports the same solves with derived
+// metrics.
 func BenchmarkSolvePreset(b *testing.B) {
 	for _, name := range []string{"anders-base", "anders-chain", "anders-web"} {
 		prog := presetProgram(b, name)
-		for _, cfg := range []struct {
-			tag  string
-			opts Options
-		}{
-			{"j1", Options{Workers: 1}},
-			{"j4", Options{Workers: 4}},
-		} {
-			b.Run(name+"/"+cfg.tag, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := Analyze(prog, &cfg.opts); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Analyze(prog, nil); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

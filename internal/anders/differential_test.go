@@ -11,32 +11,29 @@ import (
 // rule-application reference solver (naiveSolve, anders_test.go) on
 // randomized small programs covering every constraint kind, and demands
 // *exact* set equality in both directions — not just soundness. The grid
-// crosses seeds with clone depths and worker counts, so the reference
-// also checks that cloning and parallel solving leave the fixpoint
-// untouched.
+// crosses seeds with clone depths, so the reference also checks that
+// cloning leaves the fixpoint untouched.
 func TestDifferentialAgainstBruteForce(t *testing.T) {
 	opts := ir.GenOptions{Funcs: 4, VarsPerFunc: 4, StmtsPerFunc: 12, LoadStoreWeight: 2}
 	for seed := int64(1); seed <= 40; seed++ {
 		opts.Seed = seed
 		prog := ir.Generate(opts)
 		for _, depth := range []int{0, 1} {
-			for _, workers := range []int{1, 3} {
-				tag := fmt.Sprintf("seed=%d depth=%d j=%d", seed, depth, workers)
-				res, err := Analyze(prog, &Options{CloneDepth: depth, Workers: workers})
+			tag := fmt.Sprintf("seed=%d depth=%d", seed, depth)
+			res, err := Analyze(prog, &Options{CloneDepth: depth})
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			// The reference solves the same (cloned) program the engine
+			// solved.
+			refProg := prog
+			if depth > 0 {
+				refProg, err = CloneCallsites(prog, depth)
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
-				// The reference solves the same (cloned) program the
-				// engine solved.
-				refProg := prog
-				if depth > 0 {
-					refProg, err = CloneCallsites(prog, depth)
-					if err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
-				}
-				diffExact(t, res, naiveSolve(refProg), tag)
 			}
+			diffExact(t, res, naiveSolve(refProg), tag)
 		}
 	}
 }

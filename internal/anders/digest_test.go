@@ -12,8 +12,8 @@ import (
 // preset: the .ptm bytes of Result.PM.WriteTo, and the pointer and object
 // name tables (one name per line). Andersen's least fixpoint is unique and
 // rows are ordered by name, so a change to the solver's reductions,
-// scheduling or sorting must leave these unchanged at every worker count;
-// a deliberate output change has to say so by editing them.
+// scheduling or sorting must leave these unchanged; a deliberate output
+// change has to say so by editing them.
 var solveDigests = []struct {
 	preset     string
 	cloneDepth int
@@ -57,23 +57,21 @@ func TestSolveDigests(t *testing.T) {
 	}
 	for _, want := range solveDigests {
 		prog := presetProgram(t, want.preset)
-		for _, workers := range []int{1, 0} {
-			res := mustAnalyze(t, prog, Options{CloneDepth: want.cloneDepth, Workers: workers})
-			h := sha256.New()
-			if _, err := res.PM.WriteTo(h); err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range []struct {
-				what, got, want string
-			}{
-				{"ptm", hex.EncodeToString(h.Sum(nil)), want.ptm},
-				{"pointer names", namesDigest(res.PointerNames), want.pointers},
-				{"object names", namesDigest(res.ObjectNames), want.objects},
-			} {
-				if c.got != c.want {
-					t.Errorf("%s clone=%d j=%d %s: sha256 %s, want %s",
-						want.preset, want.cloneDepth, workers, c.what, c.got, c.want)
-				}
+		res := mustAnalyze(t, prog, Options{CloneDepth: want.cloneDepth})
+		h := sha256.New()
+		if _, err := res.PM.WriteTo(h); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			what, got, want string
+		}{
+			{"ptm", hex.EncodeToString(h.Sum(nil)), want.ptm},
+			{"pointer names", namesDigest(res.PointerNames), want.pointers},
+			{"object names", namesDigest(res.ObjectNames), want.objects},
+		} {
+			if c.got != c.want {
+				t.Errorf("%s clone=%d %s: sha256 %s, want %s",
+					want.preset, want.cloneDepth, c.what, c.got, c.want)
 			}
 		}
 	}

@@ -21,32 +21,24 @@ package anders
 //     wave transitively down the DAG.
 //  4. deref: scan each load/store pointer's delta since the last scan and
 //     turn new points-to members into copy edges (load `d = *p` yields
-//     obj→d, store `*p = s` yields s→obj). Candidate edges are collected
-//     in parallel, then sorted and merged sequentially, so the edge lists
-//     — and hence everything downstream — are identical for any worker
-//     count. If no edge was truly new, the system is closed and the least
-//     fixpoint has been reached.
+//     obj→d, store `*p = s` yields s→obj), merged into the sorted
+//     successor lists. If no edge was truly new, the system is closed and
+//     the least fixpoint has been reached.
 //
 // Determinism: the fixpoint itself is unique, and every intermediate
 // structure (representatives, edge lists, level assignment) is derived by
-// value from the constraint system, never from goroutine timing.
+// value from the constraint system.
 
 import (
 	"slices"
 
 	"pestrie/internal/bitset"
-	"pestrie/internal/par"
 )
 
-// parallelDerefMin is the smallest deref scan, in load/store pointers,
-// worth fanning out; below it, goroutine handoff costs more than the scan.
-const parallelDerefMin = 64
-
 type waveSolver struct {
-	s       *solver
-	uf      *unionFind
-	workers int
-	rounds  int
+	s      *solver
+	uf     *unionFind
+	rounds int
 
 	// Per-representative state (nil for merged-away nodes).
 	pts       []*bitset.Set // current points-to set
@@ -72,12 +64,11 @@ type waveSolver struct {
 	predsNew [][]nodeID // reverse of newSucc
 }
 
-func newWaveSolver(s *solver, workers int) *waveSolver {
+func newWaveSolver(s *solver) *waveSolver {
 	n := len(s.varName)
 	w := &waveSolver{
 		s:         s,
 		uf:        newUnionFind(n),
-		workers:   workers,
 		pts:       make([]*bitset.Set, n),
 		done:      make([]*bitset.Set, n),
 		dif:       make([]*bitset.Set, n),
@@ -322,21 +313,9 @@ func (w *waveSolver) wave(levels [][]nodeID) {
 
 // addDerefEdges expands loads and stores over each pointer's points-to
 // delta into copy edges and reports whether any edge was truly new.
-// Candidates are gathered in parallel (each worker owns a contiguous chunk
-// of pointers and its own output slice), then sorted and merged into the
-// sorted successor lists sequentially — identical lists for any schedule.
 func (w *waveSolver) addDerefEdges() bool {
-	var deref []nodeID
-	for _, v := range w.active {
-		if len(w.loads[v]) > 0 || len(w.stores[v]) > 0 {
-			deref = append(deref, v)
-		}
-	}
-	if len(deref) == 0 {
-		return false
-	}
-	// Union-find lookups compress paths, so they are not safe to race;
-	// resolve every heap cell's representative up front instead.
+	// Resolve every heap cell's representative once per round instead of
+	// once per delta member.
 	repObjVar := make([]nodeID, len(w.s.objVar))
 	for o, ov := range w.s.objVar {
 		repObjVar[o] = w.uf.find(ov)
@@ -346,68 +325,45 @@ func (w *waveSolver) addDerefEdges() bool {
 	// solver. Accumulating targets in one set per source node dedups
 	// eagerly instead of sorting the full duplicate-laden edge list, so
 	// the round costs set-insertions rather than an O(E log E) sort.
-	n := len(w.pts)
-	bounds := par.ChunkBounds(len(deref), w.workers)
-	chunkTargets := make([][]*bitset.Set, len(bounds)-1)
-	chunkTouched := make([][]nodeID, len(bounds)-1)
-	scan := func(lo, hi int) {
-		ci, _ := slices.BinarySearch(bounds, lo)
-		targets := make([]*bitset.Set, n)
-		var touched []nodeID
-		for _, v := range deref[lo:hi] {
-			delta := w.pts[v].Copy()
-			delta.AndNot(w.derefDone[v])
-			if delta.Empty() {
-				continue
-			}
-			loads, stores := w.loads[v], w.stores[v]
-			delta.ForEach(func(o int) bool {
-				ov := repObjVar[o]
-				for _, d := range loads {
-					if ov != d {
-						t := targets[ov]
-						if t == nil {
-							t = bitset.New()
-							targets[ov] = t
-							touched = append(touched, ov)
-						}
-						t.Set(int(d))
-					}
-				}
-				for _, src := range stores {
-					if src != ov {
-						t := targets[src]
-						if t == nil {
-							t = bitset.New()
-							targets[src] = t
-							touched = append(touched, src)
-						}
-						t.Set(int(ov))
-					}
-				}
-				return true
-			})
-			w.derefDone[v].Or(delta)
+	targets := make([]*bitset.Set, len(w.pts))
+	var touched []nodeID
+	for _, v := range w.active {
+		loads, stores := w.loads[v], w.stores[v]
+		if len(loads) == 0 && len(stores) == 0 {
+			continue
 		}
-		chunkTargets[ci] = targets
-		chunkTouched[ci] = touched
-	}
-	if w.workers <= 1 || len(deref) < parallelDerefMin {
-		scan(0, len(deref))
-	} else {
-		par.Chunks(len(deref), w.workers, scan)
-	}
-
-	targets, touched := chunkTargets[0], chunkTouched[0]
-	for ci := 1; ci < len(chunkTargets); ci++ {
-		for _, u := range chunkTouched[ci] {
-			if targets[u] == nil {
-				targets[u] = chunkTargets[ci][u]
-				touched = append(touched, u)
-			} else {
-				targets[u].Or(chunkTargets[ci][u])
-			}
+		delta := w.pts[v].Copy()
+		delta.AndNot(w.derefDone[v])
+		if delta.Empty() {
+			continue
 		}
+		delta.ForEach(func(o int) bool {
+			ov := repObjVar[o]
+			for _, d := range loads {
+				if ov != d {
+					t := targets[ov]
+					if t == nil {
+						t = bitset.New()
+						targets[ov] = t
+						touched = append(touched, ov)
+					}
+					t.Set(int(d))
+				}
+			}
+			for _, src := range stores {
+				if src != ov {
+					t := targets[src]
+					if t == nil {
+						t = bitset.New()
+						targets[src] = t
+						touched = append(touched, src)
+					}
+					t.Set(int(ov))
+				}
+			}
+			return true
+		})
+		w.derefDone[v].Or(delta)
 	}
 
 	// Per-source results are independent, so the iteration order of

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"pestrie/internal/safeio"
@@ -241,6 +242,9 @@ func readFile(r io.Reader) (*fileContents, error) {
 	if fc.numGroups > 0 && !originAtZero {
 		return nil, fmt.Errorf("pestrie: no origin object at timestamp 0")
 	}
+	// entries counts the column entries buildColumns will place: one per
+	// timestamp of each rectangle side. entStart indexes them as int32.
+	var entries int64
 	for s := shapePoint; s < numShapes; s++ {
 		for c := 0; c < 2; c++ {
 			count, err := u("shape count")
@@ -295,14 +299,18 @@ func readFile(r io.Reader) (*fileContents, error) {
 					}
 					r.X2, r.Y2 = r.X1+w, r.Y1+h
 				}
-				// Both sides must stay inside the timestamp axis: buildIndex
-				// indexes ptList[a] for every a in [X1,X2] as well as
-				// [Y1,Y2]. The canonical order (X1 ≤ X2 < Y1 ≤ Y2) narrows X2
+				// Both sides must stay inside the timestamp axis: buildColumns
+				// places an entry in column a for every a in [X1,X2] as well
+				// as [Y1,Y2]. The canonical order (X1 ≤ X2 < Y1 ≤ Y2) narrows X2
 				// further, but X2 is checked explicitly so a corrupted hline or
 				// rect fails here with an error instead of a panic downstream.
 				if r.X2 >= fc.numGroups || r.Y2 >= fc.numGroups ||
 					!(r.X1 <= r.X2 && r.X2 < r.Y1 && r.Y1 <= r.Y2) {
 					return nil, fmt.Errorf("pestrie: malformed rectangle <%d,%d,%d,%d>", r.X1, r.X2, r.Y1, r.Y2)
+				}
+				entries += int64(r.X2-r.X1+1) + int64(r.Y2-r.Y1+1)
+				if entries > math.MaxInt32 {
+					return nil, fmt.Errorf("pestrie: rectangles span more than %d column entries", math.MaxInt32)
 				}
 				fc.rects = append(fc.rects, r)
 			}

@@ -128,9 +128,8 @@ func (ix *Index) v2Layout() (offs, lens [v2NumSections]int64, fileSize int64) {
 }
 
 // WriteToV2 writes the index in the PES2 zero-copy format and returns the
-// bytes written. The output is a pure function of the index contents —
-// and buildIndex is worker-count deterministic — so the emitted file is
-// byte-identical however the index was produced.
+// bytes written. The output is a pure function of the index contents, so
+// the emitted file is byte-identical however the index was produced.
 func (ix *Index) WriteToV2(w io.Writer) (int64, error) {
 	offs, lens, fileSize := ix.v2Layout()
 	bw := bufio.NewWriter(w)
@@ -559,11 +558,7 @@ func checkFlat(what string, flat, start, keys []int32, placed int) error {
 // path by magic: PES2 files are memory-mapped and served zero-copy (call
 // Close when done; queries in flight must be drained first), PES1 files
 // are decoded onto the heap as by Load.
-func OpenFile(path string) (*Index, error) { return OpenFileWith(path, 0) }
-
-// OpenFileWith is OpenFile with an explicit decode worker count for the
-// PES1 path (PES2 opening has nothing to parallelize — there is no decode).
-func OpenFileWith(path string, workers int) (*Index, error) {
+func OpenFile(path string) (*Index, error) {
 	data, closer, err := safeio.MapFile(path)
 	if err != nil {
 		return nil, err
@@ -580,5 +575,5 @@ func OpenFileWith(path string, workers int) (*Index, error) {
 	// heap index owns nothing. Decoding straight from the mapped bytes
 	// skips the heap copy os.ReadFile would make.
 	defer closer()
-	return LoadWith(bytes.NewReader(data), workers)
+	return Load(bytes.NewReader(data))
 }

@@ -136,25 +136,27 @@ func TestV2RoundTrip(t *testing.T) {
 }
 
 // TestV2Deterministic: the PES2 bytes are identical however the index was
-// produced — sequential or parallel in-memory index assembly, or a v1
-// round trip through the parallel decoder.
+// produced — in-memory index assembly or a v1 round trip through the
+// decoder — with pruning on and off (pruning-off columns hold nested
+// ranges, which the decoder's dedup drops).
 func TestV2Deterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pm := randomPM(rng, 50, 25, 300)
-	trie := Build(pm, nil)
-	var v1 bytes.Buffer
-	if _, err := trie.WriteTo(&v1); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := LoadWith(bytes.NewReader(v1.Bytes()), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := v2Image(t, trie.IndexWith(1))
-	b := v2Image(t, trie.IndexWith(4))
-	c := v2Image(t, decoded)
-	if !bytes.Equal(a, b) || !bytes.Equal(a, c) {
-		t.Fatalf("PES2 images differ across producers: %d/%d/%d bytes", len(a), len(b), len(c))
+	for _, opts := range []*Options{nil, {DisablePruning: true}} {
+		trie := Build(pm, opts)
+		var v1 bytes.Buffer
+		if _, err := trie.WriteTo(&v1); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := Load(bytes.NewReader(v1.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := v2Image(t, trie.Index())
+		b := v2Image(t, decoded)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("opts %+v: PES2 images differ across producers: %d/%d bytes", opts, len(a), len(b))
+		}
 	}
 }
 

@@ -75,6 +75,26 @@ func oversizedRectFile() []byte {
 	)
 }
 
+// entryBombFile is a ~470KB file whose 32,769 rectangles each span all
+// 65,536 timestamps, one column entry per timestamp of either side: more
+// entries than int32 column offsets can index. Before the loader counted
+// them, decode summed the counts into a negative array length and panicked.
+func entryBombFile() []byte {
+	const groups = 1 << 16
+	vals := []uint64{1, groups - 1, 1, groups} // version, pointers, objects, groups
+	for p := 0; p < groups-1; p++ {
+		vals = append(vals, uint64(p+2)) // pointer p at timestamp p+1
+	}
+	vals = append(vals, 0, 0, 0, 0, 0, 0, 0) // object 0 at timestamp 0; no points, vlines, hlines
+	const rects = 1<<15 + 1
+	vals = append(vals, rects)
+	for i := 0; i < rects; i++ {
+		// X1 = 0 (delta 0), width groups/2-1, Y1 = groups/2, height groups/2-1.
+		vals = append(vals, 0, groups/2-1, groups/2, groups/2-1)
+	}
+	return pesFile(append(vals, 0)...) // no case-2 rectangles
+}
+
 // bombFile is a ~13-byte file whose header claims 2²⁹ pointers. The
 // decoder must fail on the missing timestamps without allocating
 // gigabytes first.
@@ -151,6 +171,24 @@ func TestLoadAllocationBomb(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
 		t.Fatalf("decoding a %d-byte bomb allocated %d bytes", len(data), grew)
+	}
+}
+
+// TestLoadRejectsColumnEntryOverflow: a file whose rectangles would place
+// more column entries than int32 offsets index errors while it is read,
+// before decode sizes any column.
+func TestLoadRejectsColumnEntryOverflow(t *testing.T) {
+	data := entryBombFile()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Load accepted rectangles spanning more than 2^31-1 column entries")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20 {
+		t.Fatalf("rejecting a %d-byte file allocated %d bytes", len(data), grew)
 	}
 }
 

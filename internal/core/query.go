@@ -9,8 +9,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"pestrie/internal/par"
 )
 
 // Index is the in-memory query structure of §4, decoded from a persistent
@@ -117,16 +115,10 @@ func (ix *Index) Close() error {
 }
 
 // Load reads a persistent file into an Index, dispatching on magic: PES1
-// files (written by (*Trie).WriteTo) are decoded onto the heap with
-// GOMAXPROCS workers, PES2 files (written by (*Index).WriteToV2) become a
-// zero-copy view over the slurped image with no per-entry decode. The
-// resulting index is identical for every worker count.
-func Load(r io.Reader) (*Index, error) { return LoadWith(r, 0) }
-
-// LoadWith is Load with an explicit decode worker count (<= 0 selects
-// GOMAXPROCS, 1 is fully sequential; the count is irrelevant for PES2,
-// which has no decode step).
-func LoadWith(r io.Reader, workers int) (*Index, error) {
+// files (written by (*Trie).WriteTo) are decoded onto the heap, PES2 files
+// (written by (*Index).WriteToV2) become a zero-copy view over the slurped
+// image with no per-entry decode.
+func Load(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
 	if magic, err := br.Peek(len(v2Magic)); err == nil && string(magic) == v2Magic {
 		data, err := io.ReadAll(br)
@@ -139,17 +131,12 @@ func LoadWith(r io.Reader, workers int) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildIndex(fc, workers), nil
+	return buildIndex(fc), nil
 }
 
-// Index builds the query structure directly, bypassing file serialization,
-// with GOMAXPROCS workers as Load does.
-func (t *Trie) Index() *Index { return t.IndexWith(0) }
-
-// IndexWith is Index with an explicit worker count (<= 0 selects
-// GOMAXPROCS, 1 is fully sequential). The result is identical for every
-// worker count.
-func (t *Trie) IndexWith(workers int) *Index {
+// Index builds the query structure directly, bypassing file serialization;
+// the result is the index Load decodes from the trie's PES1 file.
+func (t *Trie) Index() *Index {
 	return buildIndex(&fileContents{
 		numPointers: t.NumPointers,
 		numObjects:  t.NumObjects,
@@ -157,90 +144,37 @@ func (t *Trie) IndexWith(workers int) *Index {
 		pointerTS:   t.pointerTS,
 		objectTS:    t.objectTS,
 		rects:       t.rects,
-	}, workers)
+	})
 }
 
 // countingSortByTS groups IDs by their timestamp key with a counting sort,
 // ascending ID within each key: IDs whose key is ts end up in
-// flat[start[ts]:start[ts+1]]. Negative keys are skipped. The parallel
-// version splits the key slice into contiguous chunks, counts per chunk,
-// carves per-chunk cursor ranges out of the shared prefix sums, and lets
-// every chunk fill its disjoint cursor ranges concurrently — chunk w's IDs
-// all precede chunk w+1's, so the output is identical to the sequential
-// fill for any worker count.
-func countingSortByTS(keys []int, numTS, workers int) (flat, start []int32) {
+// flat[start[ts]:start[ts+1]]. Negative keys are skipped.
+func countingSortByTS(keys []int, numTS int) (flat, start []int32) {
 	start = make([]int32, numTS+1)
-	if workers <= 1 || numTS == 0 {
-		placed := 0
-		for _, ts := range keys {
-			if ts >= 0 {
-				start[ts+1]++
-				placed++
-			}
+	placed := 0
+	for _, ts := range keys {
+		if ts >= 0 {
+			start[ts+1]++
+			placed++
 		}
-		for ts := 0; ts < numTS; ts++ {
-			start[ts+1] += start[ts]
-		}
-		flat = make([]int32, placed)
-		fill := append([]int32(nil), start[:numTS]...)
-		for id, ts := range keys {
-			if ts >= 0 {
-				flat[fill[ts]] = int32(id)
-				fill[ts]++
-			}
-		}
-		return flat, start
-	}
-	bounds := par.ChunkBounds(len(keys), workers)
-	chunks := len(bounds) - 1
-	counts := make([][]int32, chunks)
-	par.Do(chunks, func(w int) {
-		c := make([]int32, numTS)
-		for _, ts := range keys[bounds[w]:bounds[w+1]] {
-			if ts >= 0 {
-				c[ts]++
-			}
-		}
-		counts[w] = c
-	})
-	for ts := 0; ts < numTS; ts++ {
-		var sum int32
-		for w := 0; w < chunks; w++ {
-			sum += counts[w][ts]
-		}
-		start[ts+1] = sum
 	}
 	for ts := 0; ts < numTS; ts++ {
 		start[ts+1] += start[ts]
 	}
-	// Repurpose counts[w] as chunk w's write cursors: chunk w writes the
-	// ts bucket at start[ts] plus everything earlier chunks put there.
-	for ts := 0; ts < numTS; ts++ {
-		cur := start[ts]
-		for w := 0; w < chunks; w++ {
-			n := counts[w][ts]
-			counts[w][ts] = cur
-			cur += n
+	flat = make([]int32, placed)
+	fill := append([]int32(nil), start[:numTS]...)
+	for id, ts := range keys {
+		if ts >= 0 {
+			flat[fill[ts]] = int32(id)
+			fill[ts]++
 		}
 	}
-	flat = make([]int32, start[numTS])
-	par.Do(chunks, func(w int) {
-		cur := counts[w]
-		for id := bounds[w]; id < bounds[w+1]; id++ {
-			if ts := keys[id]; ts >= 0 {
-				flat[cur[ts]] = int32(id)
-				cur[ts]++
-			}
-		}
-	})
 	return flat, start
 }
 
 // buildIndex assembles the query structure from decoded file contents.
-// Every parallel stage writes disjoint, position-determined output, so the
-// index is identical for any worker count (workers <= 0: GOMAXPROCS).
-func buildIndex(fc *fileContents, workers int) *Index {
-	workers = par.Workers(workers)
+func buildIndex(fc *fileContents) *Index {
 	numGroups := fc.numGroups
 	ix := &Index{
 		NumPointers: fc.numPointers,
@@ -251,8 +185,8 @@ func buildIndex(fc *fileContents, workers int) *Index {
 		rectCount:   len(fc.rects),
 	}
 	// Flatten pointers and objects by timestamp.
-	ix.ptrsFlat, ix.startOfTS = countingSortByTS(fc.pointerTS, numGroups, workers)
-	ix.objsFlat, ix.objStart = countingSortByTS(fc.objectTS, numGroups, workers)
+	ix.ptrsFlat, ix.startOfTS = countingSortByTS(fc.pointerTS, numGroups)
+	ix.objsFlat, ix.objStart = countingSortByTS(fc.objectTS, numGroups)
 
 	// Origin timestamps are exactly the timestamps holding objects; the
 	// scan yields them already sorted. PES intervals tile [0, numGroups):
@@ -270,52 +204,68 @@ func buildIndex(fc *fileContents, workers int) *Index {
 		} else {
 			ix.pesEnd[k] = int32(numGroups - 1)
 		}
+		for ts := ix.originTS[k]; ts <= ix.pesEnd[k]; ts++ {
+			ix.pesOfTS[ts] = int32(k)
+		}
 	}
-	par.Chunks(len(ix.originTS), workers, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			for ts := ix.originTS[k]; ts <= ix.pesEnd[k]; ts++ {
-				ix.pesOfTS[ts] = int32(k)
-			}
-		}
-	})
-
-	// Column lists: each worker owns a contiguous timestamp shard and
-	// scans the rectangle stream for entries landing in it, so per-column
-	// append order matches the sequential rectangle order exactly.
-	cols := make([][]listEntry, numGroups)
-	par.Chunks(numGroups, workers, func(shardLo, shardHi int) {
-		for _, r := range fc.rects {
-			for a := maxInt(r.X1, shardLo); a <= minInt(r.X2, shardHi-1); a++ {
-				cols[a] = append(cols[a],
-					listEntry{lo: int32(r.Y1), hi: int32(r.Y2), case1: r.Case1})
-			}
-			for b := maxInt(r.Y1, shardLo); b <= minInt(r.Y2, shardHi-1); b++ {
-				cols[b] = append(cols[b],
-					listEntry{lo: int32(r.X1), hi: int32(r.X2), case1: r.Case1, mirror: true})
-			}
-		}
-	})
-	par.Chunks(numGroups, workers, func(lo, hi int) {
-		for ts := lo; ts < hi; ts++ {
-			slices.SortFunc(cols[ts], compareEntries)
-			cols[ts] = dedupColumn(cols[ts])
-		}
-	})
-	// Flatten the deduped columns into the ents/entStart layout queries
-	// (and the PES2 writer) consume. Each column copies into a disjoint,
-	// position-determined range, so the flat array is identical for any
-	// worker count.
-	ix.entStart = make([]int32, numGroups+1)
-	for ts, l := range cols {
-		ix.entStart[ts+1] = ix.entStart[ts] + int32(len(l))
-	}
-	ix.ents = make([]listEntry, ix.entStart[numGroups])
-	par.Chunks(numGroups, workers, func(lo, hi int) {
-		for ts := lo; ts < hi; ts++ {
-			copy(ix.ents[ix.entStart[ts]:ix.entStart[ts+1]], cols[ts])
-		}
-	})
+	ix.ents, ix.entStart = buildColumns(fc.rects, numGroups)
 	return ix
+}
+
+// buildColumns lays out the column lists in three passes over the
+// rectangles. The first counts each column's entries (a rectangle adds one
+// to every column of its X side and, mirrored, of its Y side), which sizes
+// the flat ents array once. The second places every entry at its column's
+// cursor. The third sorts each column in place and dedups it while packing
+// the survivors leftwards, so a column never moves right and the packed
+// layout is built inside the one array. compareEntries is a total order,
+// so the sorted columns do not depend on the placement order.
+func buildColumns(rects []Rect, numGroups int) (ents []listEntry, entStart []int32) {
+	// Pass 1: a difference array of column counts, then prefix sums.
+	entStart = make([]int32, numGroups+1)
+	diff := make([]int32, numGroups+1)
+	for _, r := range rects {
+		diff[r.X1]++
+		diff[r.X2+1]--
+		diff[r.Y1]++
+		diff[r.Y2+1]--
+	}
+	var count int32
+	for ts := 0; ts < numGroups; ts++ {
+		count += diff[ts]
+		entStart[ts+1] = entStart[ts] + count
+	}
+
+	// Pass 2: place each entry at its column's cursor. The difference
+	// array is spent, so it holds the cursors.
+	ents = make([]listEntry, entStart[numGroups])
+	cursor := diff[:numGroups]
+	copy(cursor, entStart)
+	for _, r := range rects {
+		for a := r.X1; a <= r.X2; a++ {
+			ents[cursor[a]] = listEntry{lo: int32(r.Y1), hi: int32(r.Y2), case1: r.Case1}
+			cursor[a]++
+		}
+		for b := r.Y1; b <= r.Y2; b++ {
+			ents[cursor[b]] = listEntry{lo: int32(r.X1), hi: int32(r.X2), case1: r.Case1, mirror: true}
+			cursor[b]++
+		}
+	}
+
+	// Pass 3: sort and dedup each column, packing the survivors leftwards.
+	// entStart[ts] already holds column ts's packed start when ts is
+	// reached; end is the column's unpacked end, read before it is
+	// overwritten with the next column's packed start.
+	lo := int32(0)
+	for ts := 0; ts < numGroups; ts++ {
+		end := entStart[ts+1]
+		col := ents[lo:end]
+		slices.SortFunc(col, compareEntries)
+		n := copy(ents[entStart[ts]:], dedupColumn(col))
+		entStart[ts+1] = entStart[ts] + int32(n)
+		lo = end
+	}
+	return ents[:entStart[numGroups]], entStart
 }
 
 // compareEntries is the column order buildIndex sorts by: lo ascending,
@@ -350,20 +300,6 @@ func toInt32s(xs []int) []int32 {
 		out[i] = int32(x)
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // dedupColumn removes entries enclosed by an earlier entry of the same
@@ -615,7 +551,9 @@ func (ix *Index) MemoryFootprint() int64 {
 	}
 	n += int64(len(ix.pointerTS)+len(ix.objectTS)+len(ix.originTS)+len(ix.pesEnd)+len(ix.pesOfTS)) * 4
 	n += int64(len(ix.ptrsFlat)+len(ix.startOfTS)+len(ix.objsFlat)+len(ix.objStart)+len(ix.entStart)) * 4
-	n += int64(len(ix.ents)) * listEntrySize
+	// cap, not len: with pruning off buildColumns packs the deduped
+	// columns into a prefix of the array it placed them in.
+	n += int64(cap(ix.ents)) * listEntrySize
 	return n
 }
 

@@ -9,9 +9,9 @@ import (
 
 // Compaction folds a delta chain back into a base: RecoverMatrix inverts
 // the base encoding exactly (§4), the chain replays onto that matrix, and
-// core.Build is deterministic for any worker count — so the compacted file
-// is byte-identical to persisting a from-scratch build of the same facts,
-// which is what the CI gate checks on every preset.
+// core.Build is deterministic — so the compacted file is byte-identical to
+// persisting a from-scratch build of the same facts, which is what the CI
+// gate checks on every preset.
 
 // MatrixAt replays the chain prefix up to generation gen onto the exactly
 // recovered base matrix. gen must be the base generation (given by

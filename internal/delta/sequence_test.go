@@ -108,11 +108,11 @@ var aliasSink []byte
 // head of an 8-segment growing chain (32 edits a segment) over fop at
 // scale 0.02, about 23k pointers: on clean pointers, whose gap between
 // the two is what the overlay adds to a clean-pointer query, and at the
-// head on dirty pointers, which take the union path. head/append times
-// AppendAliases on the clean pointers at the head, the bytes the server
-// writes, against head/format, ListAliases plus strconv formatting.
-// ids/op is the mean answer length; synth's alias sets are dense, about
-// 20k IDs here.
+// head on dirty pointers, which mark their aliases in a bitset over the
+// pointer universe. head/append times AppendAliases on the clean pointers
+// at the head, the bytes the server writes, against head/format,
+// ListAliases plus strconv formatting. ids/op is the mean answer length;
+// synth's alias sets are dense, about 20k IDs here.
 func BenchmarkSnapshotListAliases(b *testing.B) {
 	pm := synth.PresetByName("fop").Generate(0.02)
 	ix := core.Build(pm, nil).Index()

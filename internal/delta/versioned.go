@@ -2,6 +2,7 @@ package delta
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -469,25 +470,42 @@ func (sn *Snapshot) ListAliases(p int) []int {
 		return sn.base.ListAliases(p)
 	}
 	if row, ok := sn.dirtyRow(p); ok {
-		// Dirty pointer: union the pinned pointed-by sets of its objects.
-		seen := make(map[int]struct{})
-		for _, o := range row {
-			for _, q := range sn.ListPointedBy(int(o)) {
-				if q != p {
-					seen[q] = struct{}{}
-				}
-			}
-		}
-		out := make([]int, 0, len(seen))
-		for q := range seen {
-			out = append(out, q)
-		}
-		sort.Ints(out)
-		return out
+		return sn.dirtyAliases(p, row)
 	}
 	n := 0
 	tail := sn.cleanAliases(p, func(lo, hi int) { n += hi - lo })
 	return sn.collectOverlay(n, sn.aliasRuns(p), tail)
+}
+
+// dirtyAliases answers ListAliases for a dirty pointer p whose points-to
+// set is row: it marks every pointer pointing to an object of row in a
+// bitset over the pointer universe, straight from the object's pointed-by
+// runs and added pointers, clears p, and reads the marks out ascending.
+// The answer is never nil.
+func (sn *Snapshot) dirtyAliases(p int, row []int32) []int {
+	marks := make([]uint64, (sn.Pointers()+63)/64)
+	for _, o := range row {
+		sn.pointedByRuns(int(o))(func(lo, hi int) {
+			for _, q := range sn.base.PointersAt(lo, hi) {
+				marks[q>>6] |= 1 << (q & 63)
+			}
+		})
+		for _, q := range sn.ov.addBy[o] {
+			marks[q>>6] |= 1 << (q & 63)
+		}
+	}
+	marks[p>>6] &^= 1 << (p & 63)
+	n := 0
+	for _, m := range marks {
+		n += bits.OnesCount64(m)
+	}
+	out := make([]int, 0, n)
+	for i, m := range marks {
+		for ; m != 0; m &= m - 1 {
+			out = append(out, i<<6|bits.TrailingZeros64(m))
+		}
+	}
+	return out
 }
 
 // AppendAliases appends to b the bytes json.Marshal writes for

@@ -8,72 +8,49 @@ import (
 	"testing"
 )
 
-// TestAndersBench: one row per preset with its dimensions, timings and
-// identity checks; every row records the host it ran on, and the parallel
-// speedup is null exactly when the run had fewer cores than workers, in
-// the row, in the text table and in the JSON written to BENCH_anders.json.
+// TestAndersBench: one row per preset with its dimensions and timings;
+// every row records the host it ran on, in the row, in the text table and
+// in the JSON written to BENCH_anders.json.
 func TestAndersBench(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	for _, workers := range []int{1, procs + 1} {
-		rows := AndersBench(&Options{Presets: []string{"anders-base"}, Workers: workers})
-		if len(rows) != 1 {
-			t.Fatalf("-j%d: expected 1 row, got %d", workers, len(rows))
-		}
-		r := rows[0]
-		if r.Name != "anders-base" || r.Workers != workers {
-			t.Fatalf("bad row identity: %+v", r)
-		}
-		if !r.MatrixIdentical {
-			t.Fatal("matrix identity check failed")
-		}
-		if r.Constraints == 0 || r.Vars == 0 || r.MatrixFacts == 0 {
-			t.Fatalf("empty dimensions: %+v", r)
-		}
-		if r.SolveSerialNS <= 0 || r.SolveParallelNS <= 0 {
-			t.Fatalf("missing timings: %+v", r)
-		}
-		if r.ConstraintsPerSec <= 0 {
-			t.Fatalf("missing throughput: %+v", r)
-		}
-		if r.Gomaxprocs != procs || r.NumCPU < 1 || r.GoVersion != runtime.Version() {
-			t.Fatalf("-j%d: host facts not set: %+v", workers, r)
-		}
-		wantNull := procs < workers
-		if (r.ParallelSpeedup == nil) != wantNull {
-			t.Fatalf("-j%d on GOMAXPROCS=%d: parallel speedup null = %v, want %v",
-				workers, procs, r.ParallelSpeedup == nil, wantNull)
-		}
+	rows := AndersBench(&Options{Presets: []string{"anders-base"}})
+	if len(rows) != 1 {
+		t.Fatalf("expected 1 row, got %d", len(rows))
+	}
+	r := rows[0]
+	if r.Name != "anders-base" {
+		t.Fatalf("bad row identity: %+v", r)
+	}
+	if r.Constraints == 0 || r.Vars == 0 || r.MatrixFacts == 0 {
+		t.Fatalf("empty dimensions: %+v", r)
+	}
+	if r.SolveNS <= 0 || r.ConstraintsPerSec <= 0 {
+		t.Fatalf("missing timing or throughput: %+v", r)
+	}
+	if r.Gomaxprocs != runtime.GOMAXPROCS(0) || r.NumCPU < 1 || r.GoVersion != runtime.Version() {
+		t.Fatalf("host facts not set: %+v", r)
+	}
 
-		text := RenderAndersBench(rows)
-		if !strings.Contains(text, "anders-base") || !strings.Contains(text, "identical") {
-			t.Fatalf("render missing fields:\n%s", text)
-		}
-		if strings.Contains(text, " - |") != wantNull {
-			t.Errorf("-j%d: text table prints a null speedup as -: %v, want %v\n%s",
-				workers, !wantNull, wantNull, text)
-		}
+	text := RenderAndersBench(rows)
+	if !strings.Contains(text, "anders-base") || !strings.Contains(text, "cons/s") {
+		t.Fatalf("render missing fields:\n%s", text)
+	}
 
-		var buf bytes.Buffer
-		if err := WriteAndersBenchJSON(&buf, rows); err != nil {
-			t.Fatal(err)
+	var buf bytes.Buffer
+	if err := WriteAndersBenchJSON(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	js := buf.String()
+	for _, field := range []string{`"solve_ns": `, `"num_cpu": `, `"go_version": `} {
+		if !strings.Contains(js, field) {
+			t.Errorf("JSON lacks %s", field)
 		}
-		js := buf.String()
-		if strings.Contains(js, `"parallel_speedup": null`) != wantNull {
-			t.Errorf("-j%d: JSON has a null parallel_speedup: %v, want %v", workers, !wantNull, wantNull)
-		}
-		for _, field := range []string{`"num_cpu": `, `"go_version": `} {
-			if !strings.Contains(js, field) {
-				t.Errorf("-j%d: JSON lacks %s", workers, field)
-			}
-		}
-		var back []AndersBenchRow
-		if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-			t.Fatal(err)
-		}
-		if len(back) != 1 || back[0].Name != "anders-base" || !back[0].MatrixIdentical ||
-			back[0].GoVersion != r.GoVersion || (back[0].ParallelSpeedup == nil) != wantNull {
-			t.Fatalf("JSON round-trip mismatch: %+v", back)
-		}
+	}
+	var back []AndersBenchRow
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != 1 || back[0] != r {
+		t.Fatalf("JSON round-trip mismatch: %+v", back)
 	}
 }
 

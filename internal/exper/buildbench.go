@@ -10,19 +10,15 @@ import (
 	"time"
 
 	"pestrie/internal/core"
-	"pestrie/internal/par"
 )
 
 // BuildBenchRow measures construction and decode for one benchmark:
-// wall-clock times for the (serial) Build, the faster of two, and for
-// decoding the persisted file with -j 1 versus -j N. Serialized to
-// BENCH_build.json. The host facts say what the timings were measured on;
-// the decode speedup is null when GOMAXPROCS is below Workers, since such
-// a run measures time slicing, not parallelism.
+// wall-clock times for the Build, the faster of two, and for decoding the
+// persisted file. Serialized to BENCH_build.json; the host facts say what
+// the timings were measured on.
 type BuildBenchRow struct {
 	Name       string  `json:"name"`
 	Scale      float64 `json:"scale"`
-	Workers    int     `json:"workers"` // resolved pool size of the parallel decode
 	Gomaxprocs int     `json:"gomaxprocs"`
 	NumCPU     int     `json:"num_cpu"`
 	GoVersion  string  `json:"go_version"`
@@ -31,17 +27,14 @@ type BuildBenchRow struct {
 	Facts      int     `json:"facts"`
 	PesBytes   int64   `json:"pes_bytes"`
 
-	BuildNS int64 `json:"build_ns"`
-
-	DecodeSerialNS   int64    `json:"decode_serial_ns"`
-	DecodeParallelNS int64    `json:"decode_parallel_ns"`
-	DecodeSpeedup    *float64 `json:"decode_speedup"`
+	BuildNS  int64 `json:"build_ns"`
+	DecodeNS int64 `json:"decode_ns"`
 
 	// Zero-copy PES2 columns: the same index persisted as page-aligned
 	// columns, opened cold from a real file via mmap. The speedup compares
-	// the cold open against the sequential PES1 decode — the two ways a
-	// process can go from file to first answered query. ColdOpenV2NS is the
-	// first open of the freshly-written file; WarmOpenV2NS is the fastest
+	// the cold open against the PES1 decode — the two ways a process can
+	// go from file to first answered query. ColdOpenV2NS is the first open
+	// of the freshly-written file; WarmOpenV2NS is the fastest
 	// of several re-opens of the same file, i.e. with the page cache and
 	// allocator warm — the gap between them is what madvise-style readahead
 	// hints can recover without dropping caches.
@@ -54,8 +47,7 @@ type BuildBenchRow struct {
 
 // BuildBench runs the construction/decode experiment: every preset is
 // built twice, timing the faster build (a process's first build also pays
-// for faulting in a fresh heap), and its persisted file is decoded once
-// sequentially and once over the worker pool.
+// for faulting in a fresh heap), and its persisted file is decoded once.
 func BuildBench(opts *Options) []BuildBenchRow {
 	var rows []BuildBenchRow
 	for _, w := range buildWorkloads(opts) {
@@ -68,7 +60,6 @@ func buildBenchOne(w workload) BuildBenchRow {
 	row := BuildBenchRow{
 		Name:       w.preset.Name,
 		Scale:      w.scale,
-		Workers:    par.Workers(w.workers),
 		Gomaxprocs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		GoVersion:  runtime.Version(),
@@ -86,20 +77,12 @@ func buildBenchOne(w workload) BuildBenchRow {
 	}
 	row.PesBytes = int64(file.Len())
 
-	raw := file.Bytes()
 	start := time.Now()
-	if _, err := core.LoadWith(bytes.NewReader(raw), 1); err != nil {
-		panic(err)
-	}
-	row.DecodeSerialNS = time.Since(start).Nanoseconds()
-
-	start = time.Now()
-	decoded, err := core.LoadWith(bytes.NewReader(raw), w.workers)
+	decoded, err := core.Load(bytes.NewReader(file.Bytes()))
 	if err != nil {
 		panic(err)
 	}
-	row.DecodeParallelNS = time.Since(start).Nanoseconds()
-	row.DecodeSpeedup = parallelSpeedup(row.DecodeSerialNS, row.DecodeParallelNS, row.Workers)
+	row.DecodeNS = time.Since(start).Nanoseconds()
 
 	benchV2(decoded, &row)
 	return row
@@ -162,7 +145,7 @@ func benchV2(decoded *core.Index, row *BuildBenchRow) {
 			row.WarmOpenV2NS = ns
 		}
 	}
-	row.V2OpenSpeedup = nsRatio(row.DecodeSerialNS, row.ColdOpenV2NS)
+	row.V2OpenSpeedup = nsRatio(row.DecodeNS, row.ColdOpenV2NS)
 
 	row.V2Identical = mapped.Mapped()
 	pStride := 1 + decoded.NumPointers/64
@@ -191,24 +174,6 @@ func equalIntSlices(a, b []int) bool {
 	return true
 }
 
-// parallelSpeedup is serial/parallel, or nil when the process had fewer
-// cores than workers.
-func parallelSpeedup(serialNS, parallelNS int64, workers int) *float64 {
-	if runtime.GOMAXPROCS(0) < workers {
-		return nil
-	}
-	s := nsRatio(serialNS, parallelNS)
-	return &s
-}
-
-// speedupCell renders a parallel speedup, "-" when it is null.
-func speedupCell(s *float64) string {
-	if s == nil {
-		return "-"
-	}
-	return fmt.Sprintf("%.2f×", *s)
-}
-
 func nsRatio(num, den int64) float64 {
 	if den <= 0 {
 		return 0
@@ -219,16 +184,14 @@ func nsRatio(num, den int64) float64 {
 // RenderBuildBench renders BuildBench rows as text.
 func RenderBuildBench(rows []BuildBenchRow) string {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "Build bench: construction, and decode -j1 vs -jN (GOMAXPROCS=%d)\n",
-		runtime.GOMAXPROCS(0))
-	fmt.Fprintf(&b, "%-12s %4s | %10s | %10s %10s %7s | %10s %10s %7s | %s\n",
-		"program", "j", "build", "dec-j1", "dec-jN", "speedup",
-		"v2-cold", "v2-warm", "speedup", "identical")
+	fmt.Fprintf(&b, "Build bench: construction and decode (GOMAXPROCS=%d)\n", runtime.GOMAXPROCS(0))
+	fmt.Fprintf(&b, "%-12s | %10s | %10s | %10s %10s %7s | %s\n",
+		"program", "build", "decode", "v2-cold", "v2-warm", "speedup", "identical")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %4d | %8.1fms | %8.1fms %8.1fms %7s | %8.3fms %8.3fms %6.0f× | %v\n",
-			r.Name, r.Workers,
+		fmt.Fprintf(&b, "%-12s | %8.1fms | %8.1fms | %8.3fms %8.3fms %6.0f× | %v\n",
+			r.Name,
 			float64(r.BuildNS)/1e6,
-			float64(r.DecodeSerialNS)/1e6, float64(r.DecodeParallelNS)/1e6, speedupCell(r.DecodeSpeedup),
+			float64(r.DecodeNS)/1e6,
 			float64(r.ColdOpenV2NS)/1e6, float64(r.WarmOpenV2NS)/1e6, r.V2OpenSpeedup,
 			r.V2Identical)
 	}

@@ -7,35 +7,32 @@ import (
 	"testing"
 )
 
-// TestBuildBenchHostFacts: every row records the host it ran on, and the
-// decode speedup is null exactly when the run had fewer cores than
-// workers, both in the row and in the JSON written to BENCH_build.json.
+// TestBuildBenchHostFacts: every row records the host it ran on and its
+// build and decode times, both in the row and in the JSON written to
+// BENCH_build.json.
 func TestBuildBenchHostFacts(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	for _, workers := range []int{1, procs + 1} {
-		rows := BuildBench(&Options{Presets: []string{"antlr"}, Scale: 0.002, Workers: workers})
-		if len(rows) != 1 {
-			t.Fatalf("-j%d: expected 1 row, got %d", workers, len(rows))
+	rows := BuildBench(&Options{Presets: []string{"antlr"}, Scale: 0.002})
+	if len(rows) != 1 {
+		t.Fatalf("expected 1 row, got %d", len(rows))
+	}
+	r := rows[0]
+	if r.Gomaxprocs != runtime.GOMAXPROCS(0) || r.NumCPU < 1 || r.GoVersion != runtime.Version() {
+		t.Fatalf("host facts not set: %+v", r)
+	}
+	if r.BuildNS <= 0 || r.DecodeNS <= 0 {
+		t.Fatalf("missing timings: %+v", r)
+	}
+	var buf bytes.Buffer
+	if err := WriteBuildBenchJSON(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	js := buf.String()
+	for _, field := range []string{`"decode_ns": `, `"num_cpu": `, `"go_version": `} {
+		if !strings.Contains(js, field) {
+			t.Errorf("JSON lacks %s", field)
 		}
-		r := rows[0]
-		if r.Gomaxprocs != procs || r.NumCPU < 1 || r.GoVersion != runtime.Version() {
-			t.Fatalf("-j%d: host facts not set: %+v", workers, r)
-		}
-		wantNull := procs < workers
-		if (r.DecodeSpeedup == nil) != wantNull {
-			t.Fatalf("-j%d on GOMAXPROCS=%d: decode speedup null = %v, want %v",
-				workers, procs, r.DecodeSpeedup == nil, wantNull)
-		}
-		var buf bytes.Buffer
-		if err := WriteBuildBenchJSON(&buf, rows); err != nil {
-			t.Fatal(err)
-		}
-		js := buf.String()
-		if field := `"decode_speedup": null`; strings.Contains(js, field) != wantNull {
-			t.Errorf("-j%d: JSON contains %s: %v, want %v", workers, field, !wantNull, wantNull)
-		}
-		if !strings.Contains(RenderBuildBench(rows), "antlr") {
-			t.Errorf("-j%d: render missing the row", workers)
-		}
+	}
+	if !strings.Contains(RenderBuildBench(rows), "antlr") {
+		t.Error("render missing the row")
 	}
 }

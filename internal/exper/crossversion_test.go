@@ -29,7 +29,7 @@ func TestCrossVersionV1V2(t *testing.T) {
 			if _, err := trie.WriteTo(&v1); err != nil {
 				t.Fatal(err)
 			}
-			decoded, err := core.LoadWith(bytes.NewReader(v1.Bytes()), 4)
+			decoded, err := core.Load(bytes.NewReader(v1.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -51,8 +51,8 @@ func equalInts(a, b []int) bool {
 // TestDifferentialBackends cross-checks all four Table-1 queries, as sets
 // and with no duplicates, across every query backend on every synth
 // preset: the Pestrie index with pruning on and off, built in memory and
-// round-tripped through the persisted file and the parallel decoder, the
-// BitP encoding, and the demand-driven oracle.
+// round-tripped through the persisted file and the decoder, the BitP
+// encoding, and the demand-driven oracle.
 func TestDifferentialBackends(t *testing.T) {
 	const scale = 0.002
 	for _, preset := range synth.Presets {
@@ -62,13 +62,13 @@ func TestDifferentialBackends(t *testing.T) {
 			pm := preset.Generate(scale)
 
 			// The roundtrip variant exercises the full persistence
-			// pipeline: build, encode, parallel decode.
+			// pipeline: build, encode, decode.
 			trie := core.Build(pm, nil)
 			var buf bytes.Buffer
 			if _, err := trie.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			decoded, err := core.LoadWith(bytes.NewReader(buf.Bytes()), 4)
+			decoded, err := core.Load(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,10 +26,6 @@ type Options struct {
 	// query workloads (≤0 picks one that keeps all-pairs IsAlias around a
 	// million pair queries).
 	BaseStride int
-	// Workers sizes the worker pool for the parallel decode and solve
-	// columns (≤0 picks GOMAXPROCS). The serial columns always run with a
-	// single worker; outputs are identical either way, only times differ.
-	Workers int
 }
 
 func (o *Options) scale() float64 {
@@ -178,27 +174,22 @@ func RenderFigure1(rows []Figure1Row) string {
 
 // workload bundles everything the query experiments need for one preset.
 type workload struct {
-	preset  synth.Preset
-	pm      *matrix.PointsTo
-	base    []int
-	scale   float64
-	workers int // pool size for the parallel columns (0 = GOMAXPROCS)
+	preset synth.Preset
+	pm     *matrix.PointsTo
+	base   []int
+	scale  float64
 }
 
 func buildWorkloads(opts *Options) []workload {
 	var out []workload
 	for _, p := range opts.presets() {
 		pm := p.Generate(opts.scale())
-		w := workload{
+		out = append(out, workload{
 			preset: p,
 			pm:     pm,
 			base:   synth.BasePointers(pm, opts.baseStride(pm)),
 			scale:  opts.scale(),
-		}
-		if opts != nil {
-			w.workers = opts.Workers
-		}
-		out = append(out, w)
+		})
 	}
 	return out
 }

@@ -33,9 +33,8 @@ type Table7Row struct {
 	ListPointsToPesP time.Duration
 	ListPointsToBDD  time.Duration // 0 when the BDD column is skipped
 
-	DecodePesP    time.Duration // sequential decode (-j 1)
-	DecodePesPPar time.Duration // parallel decode (-j N); same index, different clock
-	DecodeBitP    time.Duration
+	DecodePesP time.Duration
+	DecodeBitP time.Duration
 
 	MemPesP int64
 	MemBitP int64
@@ -62,22 +61,13 @@ func table7One(w workload) Table7Row {
 	if _, err := trie.WriteTo(&pesFile); err != nil {
 		panic(err)
 	}
-	var pes *core.Index
 	start := time.Now()
-	pes, err := core.LoadWith(bytes.NewReader(pesFile.Bytes()), 1)
+	pes, err := core.Load(bytes.NewReader(pesFile.Bytes()))
 	if err != nil {
 		panic(err)
 	}
 	row.DecodePesP = time.Since(start)
 	row.MemPesP = pes.MemoryFootprint()
-
-	// Parallel decode of the same bytes; the index it produces is
-	// identical, so only the clock reading is kept.
-	start = time.Now()
-	if _, err := core.LoadWith(bytes.NewReader(pesFile.Bytes()), w.workers); err != nil {
-		panic(err)
-	}
-	row.DecodePesPPar = time.Since(start)
 
 	// BitP: encode, persist, decode.
 	be := bitenc.Encode(w.pm)
@@ -124,24 +114,24 @@ func table7One(w workload) Table7Row {
 func RenderTable7(rows []Table7Row) string {
 	var b bytes.Buffer
 	fmt.Fprintln(&b, "Table 7: query time, decoding time, query memory (K = KiB)")
-	fmt.Fprintf(&b, "%-12s %6s | %9s %9s %9s | %9s %9s %9s | %9s %9s | %8s %8s %8s | %9s %9s\n",
+	fmt.Fprintf(&b, "%-12s %6s | %9s %9s %9s | %9s %9s %9s | %9s %9s | %8s %8s | %9s %9s\n",
 		"program", "#base",
 		"ia-pes", "ia-bit", "ia-dem",
 		"la-pes", "la-bit", "la-dem",
 		"lpt-pes", "lpt-bdd",
-		"dec-pes", "dec-pesj", "dec-bit",
+		"dec-pes", "dec-bit",
 		"mem-pes", "mem-bit")
 	for _, r := range rows {
 		bddCol := "-"
 		if r.ListPointsToBDD > 0 {
 			bddCol = fmt.Sprintf("%.1fms", ms(r.ListPointsToBDD))
 		}
-		fmt.Fprintf(&b, "%-12s %6d | %8.1fms %8.1fms %8.1fms | %8.1fms %8.1fms %8.1fms | %8.1fms %9s | %6.1fms %6.1fms %6.1fms | %8.1fK %8.1fK\n",
+		fmt.Fprintf(&b, "%-12s %6d | %8.1fms %8.1fms %8.1fms | %8.1fms %8.1fms %8.1fms | %8.1fms %9s | %6.1fms %6.1fms | %8.1fK %8.1fK\n",
 			r.Name, r.BasePtrs,
 			ms(r.IsAliasPesP), ms(r.IsAliasBitP), ms(r.IsAliasDemand),
 			ms(r.ListAliasesPesP), ms(r.ListAliasesBitP), ms(r.ListAliasesDemand),
 			ms(r.ListPointsToPesP), bddCol,
-			ms(r.DecodePesP), ms(r.DecodePesPPar), ms(r.DecodeBitP),
+			ms(r.DecodePesP), ms(r.DecodeBitP),
 			kib(r.MemPesP), kib(r.MemBitP))
 	}
 	return b.String()

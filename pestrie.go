@@ -93,14 +93,8 @@ type BuildOptions = core.Options
 // WriteTo.
 func Build(pm *Matrix, opts *BuildOptions) *Trie { return core.Build(pm, opts) }
 
-// Load decodes a persistent Pestrie file into a query index, building the
-// query structure with GOMAXPROCS workers.
+// Load decodes a persistent Pestrie file into a query index.
 func Load(r io.Reader) (*Index, error) { return core.Load(r) }
-
-// LoadWith is Load with an explicit decode worker count: zero or negative
-// selects GOMAXPROCS, 1 decodes fully sequentially. The index is identical
-// for every worker count.
-func LoadWith(r io.Reader, workers int) (*Index, error) { return core.LoadWith(r, workers) }
 
 // LoadFile is Load over a file path.
 func LoadFile(path string) (*Index, error) {
@@ -205,21 +199,10 @@ type AnalysisResult = anders.Result
 // ParseProgram reads the textual pointer IR.
 func ParseProgram(r io.Reader) (*Program, error) { return ir.Parse(r) }
 
-// AnalysisOptions configure the Andersen engine: clone depth and the
-// worker count of the solver's parallel deref scan. The result is
-// identical for every worker count.
-type AnalysisOptions = anders.Options
-
 // Analyze runs the Andersen-style inclusion-based analysis. cloneDepth > 0
 // applies k-callsite cloning with heap cloning before solving.
 func Analyze(prog *Program, cloneDepth int) (*AnalysisResult, error) {
-	return AnalyzeWith(prog, AnalysisOptions{CloneDepth: cloneDepth})
-}
-
-// AnalyzeWith runs the analysis with the given clone depth and the `-j`
-// worker count of the solver's deref scan.
-func AnalyzeWith(prog *Program, opts AnalysisOptions) (*AnalysisResult, error) {
-	return anders.Analyze(prog, &opts)
+	return anders.Analyze(prog, &anders.Options{CloneDepth: cloneDepth})
 }
 
 // FlowResult is the outcome of the bundled flow-sensitive analysis.
