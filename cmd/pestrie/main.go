@@ -43,6 +43,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -544,25 +545,22 @@ func query(args []string) error {
 		defer base.Close()
 		idx = base
 	} else {
-		v, chain, err := delta.Open(*in)
+		g := uint64(math.MaxUint64)
+		if *at != "head" {
+			var err error
+			if g, err = strconv.ParseUint(*at, 10, 64); err != nil {
+				return fmt.Errorf("query: -at wants a generation stamp or \"head\", got %q", *at)
+			}
+		}
+		sn, chain, err := delta.OpenAt(*in, g)
 		if err != nil {
 			return err
 		}
-		defer v.Close()
+		defer sn.Close()
 		if chain.Broken != "" {
 			fmt.Fprintf(os.Stderr, "pestrie: warning: chain stops early: %s\n", chain.Broken)
 		}
-		sn := v.Head()
-		if *at != "head" {
-			g, err := strconv.ParseUint(*at, 10, 64)
-			if err != nil {
-				return fmt.Errorf("query: -at wants a generation stamp or \"head\", got %q", *at)
-			}
-			if sn = v.At(g); sn == nil {
-				return fmt.Errorf("query: generation %d predates the base (generation %d)", g, v.BaseGeneration())
-			}
-		}
-		fmt.Printf("at generation %d (chain of %d)\n", sn.Generation(), v.Chain())
+		fmt.Printf("at generation %d (chain of %d)\n", sn.Generation(), len(chain.Segs))
 		idx = sn
 	}
 	printList := func(xs []int) {

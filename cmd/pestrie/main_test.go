@@ -69,6 +69,63 @@ func TestEncodeInfoQuery(t *testing.T) {
 	}
 }
 
+// stdoutOf runs f with os.Stdout redirected and returns what it printed.
+func stdoutOf(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	saved := os.Stdout
+	os.Stdout = w
+	ferr := f()
+	os.Stdout = saved
+	w.Close()
+	printed := <-out
+	r.Close()
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return string(printed)
+}
+
+// TestQueryAt answers pointedby at the base, at a middle stamp, past the
+// head and at head, over a base with a two-segment chain beside it; an
+// -at that is not a stamp is an error.
+func TestQueryAt(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "app.pes")
+	if err := encode([]string{"-in", writeTestMatrix(t, dir), "-out", base}); err != nil {
+		t.Fatal(err)
+	}
+	for i, facts := range [][][2]int{
+		{{0, 0}, {0, 1}, {1, 0}, {2, 1}, {3, 1}, {4, 2}},
+		{{0, 0}, {0, 1}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {5, 1}},
+	} {
+		edit := writeMatrix(t, filepath.Join(dir, fmt.Sprintf("edit%d.ptm", i)), facts)
+		stdoutOf(t, func() error { return deltaCmd([]string{"-base", base, "-new", edit}) })
+	}
+	for _, tc := range []struct{ at, want string }{
+		{"0", "at generation 0 (chain of 2)\n2 results: [2 3]\n"},
+		{"1", "at generation 1 (chain of 2)\n3 results: [0 2 3]\n"},
+		{"9", "at generation 2 (chain of 2)\n4 results: [0 2 3 5]\n"},
+		{"head", "at generation 2 (chain of 2)\n4 results: [0 2 3 5]\n"},
+	} {
+		got := stdoutOf(t, func() error { return query([]string{"-in", base, "-op", "pointedby", "-o", "1", "-at", tc.at}) })
+		if got != tc.want {
+			t.Errorf("query -at %s printed %q, want %q", tc.at, got, tc.want)
+		}
+	}
+	if err := query([]string{"-in", base, "-op", "pointedby", "-o", "1", "-at", "newest"}); err == nil {
+		t.Fatal("query -at newest did not fail")
+	}
+}
+
 func TestEncodeFromFacts(t *testing.T) {
 	dir := t.TempDir()
 	facts := filepath.Join(dir, "f.txt")
@@ -421,12 +478,11 @@ func TestServeInAnswersAtChainHead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vx, _, err := delta.Open(base)
+	head, _, err := delta.Open(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer vx.Close()
-	head := vx.Head()
+	defer head.Close()
 
 	spec := "app=" + base + ",zc=" + zc
 	batch := `{"backend":"app","queries":[{"op":"pointsto","p":0},{"op":"aliases","p":0},{"op":"aliases","p":5}]}`

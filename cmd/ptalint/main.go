@@ -140,15 +140,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 // functions, and a scoped run at the chain head re-checks just the dirtied
 // region. The merged listing is identical to a full run at the head.
 func runIncremental(prog *ir.Program, res *anders.Result, pesPath string, names []string, roots string, stdout, stderr io.Writer) error {
-	v, chain, err := delta.Open(pesPath)
+	head, chain, err := delta.Open(pesPath)
 	if err != nil {
 		return err
 	}
-	defer v.Close()
+	defer head.Close()
 	if chain.Broken != "" {
 		fmt.Fprintf(stderr, "ptalint: warning: chain stops early: %s\n", chain.Broken)
 	}
-	head := v.Head()
 	if head.Pointers() != res.PM.NumPointers || head.Objects() != res.PM.NumObjects {
 		return fmt.Errorf("%s at generation %d holds a %d×%d matrix but the program analyzes to %d×%d — stale persisted file?",
 			pesPath, head.Generation(), head.Pointers(), head.Objects(), res.PM.NumPointers, res.PM.NumObjects)
@@ -158,7 +157,7 @@ func runIncremental(prog *ir.Program, res *anders.Result, pesPath string, names 
 	if err != nil {
 		return err
 	}
-	prev, err := clients.Run(prog, res, v.Base(), names, roots)
+	prev, err := clients.Run(prog, res, head.Base(), names, roots)
 	if err != nil {
 		return err
 	}
@@ -167,7 +166,7 @@ func runIncremental(prog *ir.Program, res *anders.Result, pesPath string, names 
 		fmt.Fprintln(stdout, fd)
 	}
 	fmt.Fprintf(stderr, "ptalint: incremental at generation %d (%d segment(s)): %d dirty pointer(s), %d affected, %d/%d dirty function(s)\n",
-		head.Generation(), v.Chain(), len(head.DirtyPointers()), len(affected), len(sc.Dirty), len(prog.Funcs))
+		head.Generation(), head.Chain(), len(head.DirtyPointers()), len(affected), len(sc.Dirty), len(prog.Funcs))
 	fmt.Fprintf(stderr, "ptalint: %d finding(s) from %d statement(s)\n", len(findings), prog.NumStmts())
 	return nil
 }

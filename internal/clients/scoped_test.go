@@ -12,9 +12,10 @@ import (
 )
 
 // editedResult analyzes a generated program, flips n facts of its points-to
-// matrix, and returns the Versioned view (base = pre-edit, head = post-edit)
-// alongside the program and solver result.
-func editedResult(t *testing.T, seed int64, n int) (*ir.Program, *anders.Result, *delta.Versioned) {
+// matrix, and returns the snapshots of the base generation (pre-edit) and,
+// one Extend later, of the head (post-edit) alongside the program and
+// solver result.
+func editedResult(t *testing.T, seed int64, n int) (*ir.Program, *anders.Result, *delta.Snapshot, *delta.Snapshot) {
 	t.Helper()
 	prog := ir.Generate(ir.GenOptions{Funcs: 10, VarsPerFunc: 6, StmtsPerFunc: 24, Seed: seed})
 	res, err := anders.Analyze(prog, nil)
@@ -41,14 +42,18 @@ func editedResult(t *testing.T, seed int64, n int) (*ir.Program, *anders.Result,
 		seg.Gen = 1
 		segs = append(segs, seg)
 	}
-	v, err := delta.NewVersioned(base, segs...)
+	v, err := delta.New(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := v.Extend(segs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The scoped run queries the head through the edited matrix too; keep
 	// res.PM at the base so CollectAccesses and PointerID stay pre-edit
 	// (the IR did not change, only the persisted facts did).
-	return prog, res, v
+	return prog, res, v, head
 }
 
 // TestScopedMatchesFull is the union property behind ptalint -incremental:
@@ -63,15 +68,14 @@ func TestScopedMatchesFull(t *testing.T) {
 		{"leak", "taint"},
 	}
 	for seed := int64(1); seed <= 6; seed++ {
-		prog, res, v := editedResult(t, seed, 30)
-		head := v.Head()
+		prog, res, v, head := editedResult(t, seed, 30)
 		affected := head.AffectedPointers()
 		for _, checks := range subsets {
 			full, err := Run(prog, res, head, checks, "main")
 			if err != nil {
 				t.Fatal(err)
 			}
-			prev, err := Run(prog, res, v.Base(), checks, "main")
+			prev, err := Run(prog, res, v, checks, "main")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,6 +95,7 @@ func TestScopedMatchesFull(t *testing.T) {
 					seed, checks, merged, full, sc.Dirty)
 			}
 		}
+		head.Close()
 		v.Close()
 	}
 }

@@ -251,6 +251,7 @@ func readFile(r io.Reader) (*fileContents, error) {
 			if err != nil {
 				return nil, err
 			}
+			fc.rects = slices.Grow(fc.rects, safeio.Cap(count))
 			prevX := 0
 			for k := 0; k < count; k++ {
 				var r Rect

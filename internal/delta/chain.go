@@ -47,10 +47,10 @@ func FileHint(path string) (uint64, error) {
 }
 
 // Chain is the result of discovering and reading the delta segments next
-// to a base file. Segs holds the longest valid prefix of the on-disk
-// chain; Broken describes why discovery stopped early (a corrupt file, a
-// parent-link gap, a stale base hint), or is empty when the whole chain
-// was consumed.
+// to a base file. Segs holds the longest valid prefix of the on-disk chain
+// (of its part past the head BuildChain was given); Broken describes why
+// discovery stopped early (a corrupt file, a parent-link gap, a stale base
+// hint), or is empty when the whole chain was consumed.
 type Chain struct {
 	Base   string
 	Hint   uint64 // base hint of the base file at Base
@@ -69,10 +69,10 @@ func (c *Chain) Head() uint64 {
 	return 0
 }
 
-// Discover lists candidate segment paths next to basePath, ordered by the
-// stamp embedded in their names. It only inspects names; the files are not
-// opened.
-func Discover(basePath string) ([]string, error) {
+// Discover lists the segment paths next to basePath whose name stamp is
+// past after, ordered by that stamp. It only inspects names; the files are
+// not opened.
+func Discover(basePath string, after uint64) ([]string, error) {
 	matches, err := filepath.Glob(stem(basePath) + ".d*.pesd")
 	if err != nil {
 		return nil, err
@@ -86,8 +86,8 @@ func Discover(basePath string) ([]string, error) {
 	for _, m := range matches {
 		digits := strings.TrimSuffix(strings.TrimPrefix(m, prefix), ".pesd")
 		gen, err := strconv.ParseUint(digits, 10, 64)
-		if err != nil || gen == 0 {
-			continue // not a stamp-bearing name; leave it alone
+		if err != nil || gen <= after {
+			continue // not a stamp-bearing name (stamps start at 1), or not past after
 		}
 		cands = append(cands, cand{gen, m})
 	}
@@ -110,13 +110,18 @@ func LoadChain(basePath string) (*Chain, error) {
 	if err != nil {
 		return nil, err
 	}
-	return BuildChain(basePath, hint)
+	return BuildChain(basePath, hint, 0)
 }
 
 // BuildChain is LoadChain for a caller that already hashed the base file
-// (internal/store hashes every image it loads anyway).
-func BuildChain(basePath string, hint uint64) (*Chain, error) {
-	paths, err := Discover(basePath)
+// (internal/store hashes every image it loads anyway) and already serves
+// the chain through generation head: segments whose name stamp is at or
+// below head are never opened, so a poll that finds nothing new reads no
+// segment. Whether the first segment read chains onto head is the
+// caller's check (head 0 reads the whole chain, whose first segment names
+// the base generation).
+func BuildChain(basePath string, hint, head uint64) (*Chain, error) {
+	paths, err := Discover(basePath, head)
 	if err != nil {
 		return nil, err
 	}

@@ -12,12 +12,15 @@
 //     increasing generation stamp. Alias-fact deltas are implied: alias(p,q)
 //     holds at a generation iff the points-to sets at that generation
 //     intersect, so persisting the points-to edits is enough.
-//   - A Versioned index applies the chain to an immutable base and exposes
-//     one Snapshot per generation. Snapshots answer the Table-1 queries
-//     through the same interface as core.Index; every answer is pinned to
-//     the snapshot's stamp, and concurrent readers of older snapshots never
-//     observe newer edits (internal/store pins whole Versioned values by
-//     refcount, exactly as it pins plain index generations).
+//   - A Snapshot is an immutable base plus one copy-on-write overlay: the
+//     facts at one generation. New and Open build the head of a chain,
+//     OpenAt an older generation, and Extend the next snapshot over the
+//     same base. Snapshots answer the Table-1 queries through the same
+//     interface as core.Index; every answer is pinned to the snapshot's
+//     stamp, and concurrent readers of older snapshots never observe newer
+//     edits. Each snapshot holds one reference on the shared base and no
+//     older generation, so internal/store keeps exactly the snapshots it
+//     serves or a reader pins.
 //   - Compact (compact.go) folds base + chain back into a fresh base that
 //     is byte-identical to a from-scratch rebuild at that generation.
 package delta

@@ -67,14 +67,9 @@ func bases(t testing.TB, pm *matrix.PointsTo, pruning bool) (decoded, mapped *co
 // applied over base, the base generation included.
 func checkChain(t testing.TB, what string, base *core.Index, segs []*delta.Segment) {
 	t.Helper()
-	v, err := delta.NewVersioned(base, segs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
-	for _, g := range v.Generations() {
-		checkAppend(t, fmt.Sprintf("%s gen %d", what, g), v.At(g))
-	}
+	walk(t, base, segs, func(_ int, sn *delta.Snapshot) {
+		checkAppend(t, fmt.Sprintf("%s gen %d", what, sn.Generation()), sn)
+	})
 }
 
 // TestAppendMatchesMarshal holds the byte-range encoder to encoding/json:

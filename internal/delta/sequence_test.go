@@ -24,22 +24,19 @@ import (
 //     newly do, ascending.
 //
 // The rules are spelled out with Base, DirtyPointers, IsAlias and PointsTo
-// and checked at every overlay generation of an 8-segment growing chain on
-// all 12 presets; at the head, every pointer's answer must also equal a
-// demand oracle's as a set.
+// and checked at every overlay generation of an 8-segment growing chain,
+// built one Extend at a time, on all 12 presets; at the head, every
+// pointer's answer must also equal a demand oracle's as a set.
 func TestSnapshotAliasSequence(t *testing.T) {
 	for i, p := range synth.Presets {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			ix, segs, oracles := stream(t, &p, int64(i)+301, 8, true)
-			v, err := delta.NewVersioned(ix, segs...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer v.Close()
-			base := v.Base()
-			for g := 1; g < len(oracles); g++ {
-				sn := v.At(uint64(g))
+			head := walk(t, ix, segs, func(g int, sn *delta.Snapshot) {
+				if g == 0 {
+					return
+				}
+				base := sn.Base()
 				dirty := sn.DirtyPointers()
 				isDirty := make(map[int]bool, len(dirty))
 				for _, q := range dirty {
@@ -89,8 +86,7 @@ func TestSnapshotAliasSequence(t *testing.T) {
 						t.Fatalf("gen %d: ListPointedBy(%d) = %v, want %v", g, o, got, want)
 					}
 				}
-			}
-			head := v.Head()
+			})
 			oracle := demand.New(oracles[len(oracles)-1])
 			for p := 0; p < head.Pointers(); p++ {
 				if !equalSets(head.ListAliases(p), oracle.ListAliases(p)) {
@@ -122,16 +118,16 @@ func BenchmarkSnapshotListAliases(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		segs = append(segs, es.Next())
 	}
-	v, err := delta.NewVersioned(ix, segs...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer v.Close()
-	head := v.Head()
+	var base *delta.Snapshot
+	head := walk(b, ix, segs, func(g int, sn *delta.Snapshot) {
+		if g == 0 {
+			base = sn
+		}
+	})
 	dirty := head.DirtyPointers()
 	var clean []int
 	for p := 0; p < head.Pointers(); p++ {
-		if _, found := slices.BinarySearch(dirty, p); !found && len(v.Base().ListAliases(p)) > 0 {
+		if _, found := slices.BinarySearch(dirty, p); !found && len(base.ListAliases(p)) > 0 {
 			clean = append(clean, p)
 		}
 	}
@@ -144,7 +140,7 @@ func BenchmarkSnapshotListAliases(b *testing.B) {
 			b.ReportMetric(float64(ids)/float64(b.N), "ids/op")
 		}
 	}
-	b.Run("base", lists(v.Base(), clean))
+	b.Run("base", lists(base, clean))
 	b.Run("head", lists(head, clean))
 	b.Run("head/dirty", lists(head, dirty))
 	b.Run("head/format", func(b *testing.B) {

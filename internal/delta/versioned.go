@@ -2,37 +2,28 @@ package delta
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"pestrie/internal/core"
 )
 
-// baseHold refcounts a shared base index across the Versioned values built
-// over it: Extend returns a new Versioned that reuses the same decoded (or
+// baseHold refcounts a shared base index across the snapshots built over
+// it: Extend returns a new Snapshot that reuses the same decoded (or
 // mapped) base instead of re-decoding it, so the base may only be Closed —
-// which unmaps a PES2 file — when the last Versioned sharing it goes away.
+// which unmaps a PES2 file — when the last snapshot over it goes away.
 type baseHold struct {
 	ix   *core.Index
-	mu   sync.Mutex
-	refs int
-}
-
-func (h *baseHold) retain() {
-	h.mu.Lock()
-	h.refs++
-	h.mu.Unlock()
+	refs atomic.Int64
 }
 
 func (h *baseHold) release() error {
-	h.mu.Lock()
-	h.refs--
-	last := h.refs == 0
-	h.mu.Unlock()
-	if last {
+	if h.refs.Add(-1) == 0 {
 		return h.ix.Close()
 	}
 	return nil
@@ -58,25 +49,29 @@ type overlay struct {
 	// subset of it, and both stay consistent with dirty.
 	addBy map[int32][]int32
 	delBy map[int32][]int32
-	// dirtyPtrs is the sorted key set of dirty, and dirtyBits the same
-	// set as a bitset over the pointer universe: a clean pointer is
-	// recognised without a map lookup. dirtyPos holds the sorted base
-	// positions of the dirty pointers the base places, which a clean
+	// dirtyBits is the key set of dirty as a bitset over the pointer
+	// universe: a clean pointer is recognised without a map lookup, and
+	// the dirty pointers read out ascending. dirtyPos holds the sorted
+	// base positions of the dirty pointers the base places, which a clean
 	// pointer's answer cuts out of the base answer.
-	dirtyPtrs []int32
 	dirtyBits []uint64
 	dirtyPos  []int32
 	bytes     int64
 }
 
-func (ov *overlay) clone() *overlay {
+// clone copies the overlay's maps for the segment s to edit, at s's
+// dimensions.
+func (ov *overlay) clone(s *Segment) *overlay {
 	out := &overlay{
-		pointers: ov.pointers,
-		objects:  ov.objects,
-		dirty:    make(map[int32][]int32, len(ov.dirty)),
-		addBy:    make(map[int32][]int32, len(ov.addBy)),
-		delBy:    make(map[int32][]int32, len(ov.delBy)),
+		pointers:  s.NumPointers,
+		objects:   s.NumObjects,
+		dirty:     make(map[int32][]int32, len(ov.dirty)),
+		addBy:     make(map[int32][]int32, len(ov.addBy)),
+		delBy:     make(map[int32][]int32, len(ov.delBy)),
+		dirtyBits: make([]uint64, (s.NumPointers+63)/64),
+		dirtyPos:  slices.Clone(ov.dirtyPos),
 	}
+	copy(out.dirtyBits, ov.dirtyBits)
 	for k, v := range ov.dirty {
 		out.dirty[k] = v
 	}
@@ -178,15 +173,7 @@ func (ov *overlay) apply(base *core.Index, s *Segment) (*overlay, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	out := ov.clone()
-	out.pointers, out.objects = s.NumPointers, s.NumObjects
-	// Runs ascend by pointer, so the pointers they newly dirty merge into
-	// the parent's sorted dirtyPtrs in one pass, setting their bits.
-	out.dirtyBits = make([]uint64, (s.NumPointers+63)/64)
-	copy(out.dirtyBits, ov.dirtyBits)
-	out.dirtyPtrs = make([]int32, 0, len(ov.dirtyPtrs)+len(s.Runs))
-	out.dirtyPos = slices.Clone(ov.dirtyPos)
-	rest := ov.dirtyPtrs
+	out := ov.clone(s)
 	for _, r := range s.Runs {
 		// pos is -1 for a pointer the base does not place, which has no
 		// base facts to cut.
@@ -194,9 +181,6 @@ func (ov *overlay) apply(base *core.Index, s *Segment) (*overlay, error) {
 		cur, wasDirty := out.dirty[r.Ptr]
 		if !wasDirty {
 			cur = basePts(base, r.Ptr)
-			i, _ := slices.BinarySearch(rest, r.Ptr)
-			out.dirtyPtrs = append(append(out.dirtyPtrs, rest[:i]...), r.Ptr)
-			rest = rest[i:]
 			out.dirtyBits[r.Ptr>>6] |= 1 << (r.Ptr & 63)
 			if pos >= 0 {
 				j, _ := slices.BinarySearch(out.dirtyPos, pos)
@@ -234,23 +218,123 @@ func (ov *overlay) apply(base *core.Index, s *Segment) (*overlay, error) {
 		}
 		out.dirty[r.Ptr] = next
 	}
-	out.dirtyPtrs = append(out.dirtyPtrs, rest...)
 	out.finish()
 	return out, nil
 }
 
-// Snapshot answers the Table-1 queries at one pinned generation. It is an
-// immutable view: a Snapshot keeps answering from its generation no matter
-// how many newer segments are applied to sibling Versioned values. It
-// stays valid until the Versioned it came from is closed.
+// Snapshot answers the Table-1 queries at one pinned generation: the base
+// plus one overlay. It is an immutable view: a Snapshot keeps answering
+// from its generation no matter how many newer snapshots Extend builds
+// over the same base, and it stays valid until it is Closed. It holds no
+// older generation, only the stamps of the chain that led to it.
 type Snapshot struct {
-	base *core.Index
-	gen  uint64
-	ov   *overlay // nil: the snapshot is the base itself
+	base    *core.Index
+	hold    *baseHold
+	lineage []uint64 // every generation's stamp, base first, this one last
+	ov      *overlay // nil: the snapshot is the base itself
+	once    sync.Once
 }
 
+// New wraps base and applies the segments in order, returning the head
+// snapshot, which owns base: the last Close of a snapshot over it closes
+// base. The first segment's Parent names the base generation; with no
+// segments the base generation is 0. On error base stays the caller's.
+func New(base *core.Index, segs ...*Segment) (*Snapshot, error) {
+	var gen uint64
+	if len(segs) > 0 {
+		gen = segs[0].Parent
+	}
+	return newAt(base, gen, segs)
+}
+
+// newAt is New with the base generation given. The root snapshot it
+// extends holds no reference, so the result's is the only one.
+func newAt(base *core.Index, gen uint64, segs []*Segment) (*Snapshot, error) {
+	root := &Snapshot{base: base, hold: &baseHold{ix: base}, lineage: []uint64{gen}}
+	return root.Extend(segs...)
+}
+
+// Open loads the base file at basePath (PES1 or PES2, as core.OpenFile)
+// and applies the valid delta chain discovered next to it, returning the
+// head snapshot. The returned Chain reports what was found, including why
+// a suffix was skipped.
+func Open(basePath string) (*Snapshot, *Chain, error) {
+	return OpenAt(basePath, math.MaxUint64)
+}
+
+// OpenAt is Open stopped at the newest generation <= gen, the
+// read_snapshot operation. It fails when gen predates the base.
+func OpenAt(basePath string, gen uint64) (*Snapshot, *Chain, error) {
+	chain, err := LoadChain(basePath)
+	if err != nil {
+		return nil, nil, err
+	}
+	segs, baseGen := chain.Segs, uint64(0)
+	if len(segs) > 0 {
+		baseGen = segs[0].Parent
+	}
+	if gen < baseGen {
+		return nil, nil, fmt.Errorf("pesd: generation %d predates the base generation %d", gen, baseGen)
+	}
+	n := sort.Search(len(segs), func(i int) bool { return segs[i].Gen > gen })
+	base, err := core.OpenFile(basePath)
+	if err != nil {
+		return nil, nil, err
+	}
+	sn, err := newAt(base, baseGen, segs[:n])
+	if err != nil {
+		base.Close()
+		return nil, nil, err
+	}
+	return sn, chain, nil
+}
+
+// Extend applies further segments, returning the next snapshot over the
+// same base (no re-decode). The result holds its own reference on the
+// base, so it and the receiver are Closed independently, and the receiver
+// keeps answering at its generation.
+func (sn *Snapshot) Extend(segs ...*Segment) (*Snapshot, error) {
+	ov, lineage := sn.ov, slices.Clip(sn.lineage)
+	for _, s := range segs {
+		if head := lineage[len(lineage)-1]; s.Parent != head {
+			return nil, fmt.Errorf("pesd: segment %d chains onto generation %d, head is %d",
+				s.Gen, s.Parent, head)
+		}
+		if ov == nil {
+			ov = &overlay{pointers: sn.base.Pointers(), objects: sn.base.Objects()}
+		}
+		var err error
+		if ov, err = ov.apply(sn.base, s); err != nil {
+			return nil, err
+		}
+		lineage = append(lineage, s.Gen)
+	}
+	sn.hold.refs.Add(1)
+	return &Snapshot{base: sn.base, hold: sn.hold, lineage: lineage, ov: ov}, nil
+}
+
+// Close releases this snapshot's reference on the shared base; the last
+// release closes the base index (unmapping a PES2 file). Callers must
+// drain queries against this snapshot first, exactly as with
+// core.Index.Close — internal/store's refcount pinning provides this.
+func (sn *Snapshot) Close() error {
+	var err error
+	sn.once.Do(func() { err = sn.hold.release() })
+	return err
+}
+
+// Base returns the base index every generation of the chain layers over.
+func (sn *Snapshot) Base() *core.Index { return sn.base }
+
 // Generation returns the stamp every answer from this snapshot is pinned to.
-func (sn *Snapshot) Generation() uint64 { return sn.gen }
+func (sn *Snapshot) Generation() uint64 { return sn.lineage[len(sn.lineage)-1] }
+
+// Chain returns the number of delta segments applied on top of the base.
+func (sn *Snapshot) Chain() int { return len(sn.lineage) - 1 }
+
+// Lineage returns the stamps of the chain's generations, ascending: the
+// base generation first, this snapshot's last.
+func (sn *Snapshot) Lineage() []uint64 { return slices.Clone(sn.lineage) }
 
 // Pointers returns the pointer-universe size at this generation.
 func (sn *Snapshot) Pointers() int {
@@ -495,6 +579,11 @@ func (sn *Snapshot) dirtyAliases(p int, row []int32) []int {
 		}
 	}
 	marks[p>>6] &^= 1 << (p & 63)
+	return members(marks)
+}
+
+// members returns the set bits of marks ascending, never nil.
+func members(marks []uint64) []int {
 	n := 0
 	for _, m := range marks {
 		n += bits.OnesCount64(m)
@@ -556,11 +645,7 @@ func (sn *Snapshot) DirtyPointers() []int {
 	if sn.ov == nil {
 		return nil
 	}
-	out := make([]int, len(sn.ov.dirtyPtrs))
-	for i, p := range sn.ov.dirtyPtrs {
-		out[i] = int(p)
-	}
-	return out
+	return members(sn.ov.dirtyBits)
 }
 
 // AffectedPointers closes DirtyPointers under aliasing, in both the base
@@ -568,159 +653,23 @@ func (sn *Snapshot) DirtyPointers() []int {
 // gain or lose query answers through a dirty partner (a changed alias
 // pair, a shared object whose pointed-by set moved), and any such partner
 // aliases a dirty pointer before or after the edits. This is the dirtied
-// region ptalint re-checks; see clients.Run's scoped mode.
+// region ptalint re-checks; see clients.Run's scoped mode. The answer is
+// sorted.
 func (sn *Snapshot) AffectedPointers() []int {
 	if sn.ov == nil {
 		return nil
 	}
-	seen := make(map[int]struct{})
-	for _, d := range sn.ov.dirtyPtrs {
-		p := int(d)
-		seen[p] = struct{}{}
-		for _, q := range sn.base.ListAliases(p) {
-			seen[q] = struct{}{}
-		}
-		for _, q := range sn.ListAliases(p) {
-			seen[q] = struct{}{}
+	marks := slices.Clone(sn.ov.dirtyBits)
+	mark := func(qs []int) {
+		for _, q := range qs {
+			marks[q>>6] |= 1 << (q & 63)
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
+	for _, p := range sn.DirtyPointers() {
+		mark(sn.base.ListAliases(p))
+		mark(sn.ListAliases(p))
 	}
-	sort.Ints(out)
-	return out
-}
-
-// Versioned is a base index plus an applied delta chain: one Snapshot per
-// generation, all sharing one decoded base. Versioned values are immutable
-// (Extend returns a new one) and must be Closed to release the shared
-// base; Snapshots remain valid until then. A Versioned with no segments is
-// a thin wrapper over the base.
-type Versioned struct {
-	hold    *baseHold
-	baseGen uint64
-	snaps   []*Snapshot // snaps[0] is the base generation; one more per segment
-	once    sync.Once
-}
-
-// NewVersioned wraps base and applies the segments in order, taking
-// ownership of base (Close releases it). The first segment's Parent names
-// the base generation; with no segments the base generation is 0.
-func NewVersioned(base *core.Index, segs ...*Segment) (*Versioned, error) {
-	v := &Versioned{
-		hold:  &baseHold{ix: base, refs: 1},
-		snaps: []*Snapshot{{base: base, gen: 0}},
-	}
-	if len(segs) > 0 {
-		v.baseGen = segs[0].Parent
-		v.snaps[0].gen = v.baseGen
-	}
-	ext, err := v.Extend(segs...)
-	if err != nil {
-		return nil, err
-	}
-	if ext != v {
-		v.Close()
-	}
-	return ext, nil
-}
-
-// Open loads the base file at basePath (PES1 or PES2, as core.OpenFile)
-// and applies the valid delta chain discovered next to it. The returned
-// Chain reports what was found, including why a suffix was skipped.
-func Open(basePath string) (*Versioned, *Chain, error) {
-	chain, err := LoadChain(basePath)
-	if err != nil {
-		return nil, nil, err
-	}
-	base, err := core.OpenFile(basePath)
-	if err != nil {
-		return nil, nil, err
-	}
-	v, err := NewVersioned(base, chain.Segs...)
-	if err != nil {
-		base.Close()
-		return nil, nil, err
-	}
-	return v, chain, nil
-}
-
-// BaseGeneration returns the stamp of the base snapshot.
-func (v *Versioned) BaseGeneration() uint64 { return v.baseGen }
-
-// Chain returns the number of delta segments applied on top of the base.
-func (v *Versioned) Chain() int { return len(v.snaps) - 1 }
-
-// Head returns the newest snapshot.
-func (v *Versioned) Head() *Snapshot { return v.snaps[len(v.snaps)-1] }
-
-// Base returns the base snapshot (generation BaseGeneration).
-func (v *Versioned) Base() *Snapshot { return v.snaps[0] }
-
-// Generations returns the stamps of every snapshot, ascending.
-func (v *Versioned) Generations() []uint64 {
-	out := make([]uint64, len(v.snaps))
-	for i, sn := range v.snaps {
-		out[i] = sn.gen
-	}
-	return out
-}
-
-// At returns the newest snapshot with stamp <= gen — the read_snapshot
-// operation — or nil when gen predates the base.
-func (v *Versioned) At(gen uint64) *Snapshot {
-	i := sort.Search(len(v.snaps), func(i int) bool { return v.snaps[i].gen > gen })
-	if i == 0 {
-		return nil
-	}
-	return v.snaps[i-1]
-}
-
-// Extend applies further segments, returning a new Versioned sharing this
-// one's base (no re-decode) and snapshot prefix. Both values must still be
-// Closed independently; existing Snapshots are unaffected. With no
-// segments it returns the receiver.
-func (v *Versioned) Extend(segs ...*Segment) (*Versioned, error) {
-	if len(segs) == 0 {
-		return v, nil
-	}
-	head := v.Head()
-	snaps := append([]*Snapshot(nil), v.snaps...)
-	for _, s := range segs {
-		if s.Parent != head.gen {
-			return nil, fmt.Errorf("pesd: segment %d chains onto generation %d, head is %d",
-				s.Gen, s.Parent, head.gen)
-		}
-		prev := head.ov
-		if prev == nil {
-			prev = &overlay{
-				pointers: v.hold.ix.Pointers(),
-				objects:  v.hold.ix.Objects(),
-				dirty:    map[int32][]int32{},
-				addBy:    map[int32][]int32{},
-				delBy:    map[int32][]int32{},
-			}
-		}
-		ov, err := prev.apply(v.hold.ix, s)
-		if err != nil {
-			return nil, err
-		}
-		head = &Snapshot{base: v.hold.ix, gen: s.Gen, ov: ov}
-		snaps = append(snaps, head)
-	}
-	v.hold.retain()
-	return &Versioned{hold: v.hold, baseGen: v.baseGen, snaps: snaps}, nil
-}
-
-// Close releases this Versioned's reference on the shared base; the last
-// release closes the base index (unmapping a PES2 file). Callers must
-// drain queries against this value's Snapshots first, exactly as with
-// core.Index.Close — internal/store's refcount pinning provides this.
-func (v *Versioned) Close() error {
-	var err error
-	v.once.Do(func() { err = v.hold.release() })
-	return err
+	return members(marks)
 }
 
 // The formatter below writes the IDs no text table holds: dirty rows,

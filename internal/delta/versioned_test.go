@@ -79,6 +79,29 @@ func equalSets(a, b []int) bool {
 	return true
 }
 
+// walk applies segs over base one Extend at a time, the way the store
+// advances a served chain, and calls visit with the snapshot of every
+// generation g, the base first. It returns the head; every snapshot is
+// closed at cleanup.
+func walk(t testing.TB, base *core.Index, segs []*delta.Segment, visit func(g int, sn *delta.Snapshot)) *delta.Snapshot {
+	t.Helper()
+	sn, err := delta.New(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; ; g++ {
+		cur := sn
+		t.Cleanup(func() { cur.Close() })
+		visit(g, sn)
+		if g == len(segs) {
+			return sn
+		}
+		if sn, err = sn.Extend(segs[g]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // checkSnapshot compares every Table-1 query of one snapshot against a
 // demand-driven oracle over the generation's matrix.
 func checkSnapshot(t *testing.T, sn *delta.Snapshot, pm *matrix.PointsTo, segs []*delta.Segment) {
@@ -115,28 +138,22 @@ func checkSnapshot(t *testing.T, sn *delta.Snapshot, pm *matrix.PointsTo, segs [
 	}
 }
 
-// TestVersionedDifferential holds every generation of a Versioned index —
-// including ones with grown dimensions — equal to a demand oracle over the
+// TestVersionedDifferential holds every generation of a chain — including
+// ones with grown dimensions — equal to a demand oracle over the
 // independently replayed matrix, across all 12 presets.
 func TestVersionedDifferential(t *testing.T) {
 	for i, p := range synth.Presets {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			ix, segs, oracles := stream(t, &p, int64(i)+1, 3, true)
-			v, err := delta.NewVersioned(ix, segs...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer v.Close()
-			if v.Chain() != len(segs) {
-				t.Fatalf("chain %d, want %d", v.Chain(), len(segs))
-			}
-			for g, pm := range oracles {
-				sn := v.At(uint64(g))
-				if sn == nil || sn.Generation() != uint64(g) {
-					t.Fatalf("At(%d) returned %v", g, sn)
+			head := walk(t, ix, segs, func(g int, sn *delta.Snapshot) {
+				if sn.Generation() != uint64(g) {
+					t.Fatalf("generation %d is stamped %d", g, sn.Generation())
 				}
-				checkSnapshot(t, sn, pm, segs)
+				checkSnapshot(t, sn, oracles[g], segs)
+			})
+			if head.Chain() != len(segs) {
+				t.Fatalf("chain %d, want %d", head.Chain(), len(segs))
 			}
 		})
 	}
@@ -197,11 +214,11 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			ix, segs, oracles := stream(t, &p, int64(i)+201, 4, true)
-			v, err := delta.NewVersioned(ix)
+			sn, err := delta.New(ix)
 			if err != nil {
 				t.Fatal(err)
 			}
-			versions := []*delta.Versioned{v}
+			versions := []*delta.Snapshot{sn}
 			var wg sync.WaitGroup
 			errs := make(chan error, len(oracles)*2)
 			spawn := func(sn *delta.Snapshot, pm *matrix.PointsTo, rounds int) {
@@ -230,14 +247,14 @@ func TestSnapshotIsolation(t *testing.T) {
 			// Readers pinned to the base start before any segment applies;
 			// each extension starts readers for the new head while the older
 			// pins keep running.
-			spawn(v.Head(), oracles[0], 400)
+			spawn(sn, oracles[0], 400)
 			for s, seg := range segs {
 				ext, err := versions[len(versions)-1].Extend(seg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				versions = append(versions, ext)
-				spawn(ext.Head(), oracles[s+1], 400)
+				spawn(ext, oracles[s+1], 400)
 			}
 			wg.Wait()
 			close(errs)
@@ -282,56 +299,103 @@ func TestChainDiscovery(t *testing.T) {
 	}
 	oracle := es.Matrix().Clone()
 
-	v, chain, err := delta.Open(base)
+	head, chain, err := delta.Open(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if chain.Broken != "" || len(chain.Segs) != 3 {
 		t.Fatalf("chain: %d segments, broken=%q", len(chain.Segs), chain.Broken)
 	}
-	checkSnapshot(t, v.Head(), oracle, chain.Segs)
-	v.Close()
+	checkSnapshot(t, head, oracle, chain.Segs)
+	head.Close()
 
 	// A gap in the middle of the chain serves the prefix before it.
 	if err := os.Remove(delta.SegmentPath(base, 2)); err != nil {
 		t.Fatal(err)
 	}
-	v, chain, err = delta.Open(base)
+	head, chain, err = delta.Open(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(chain.Segs) != 1 || chain.Broken == "" {
 		t.Fatalf("after gap: %d segments, broken=%q", len(chain.Segs), chain.Broken)
 	}
-	if v.Head().Generation() != 1 {
-		t.Fatalf("after gap: head %d, want 1", v.Head().Generation())
+	if head.Generation() != 1 {
+		t.Fatalf("after gap: head %d, want 1", head.Generation())
 	}
-	v.Close()
+	head.Close()
 
 	// A corrupt first segment degrades to the bare base, never an error.
 	if err := os.WriteFile(delta.SegmentPath(base, 1), []byte("PESDgarbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	v, chain, err = delta.Open(base)
+	head, chain, err = delta.Open(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(chain.Segs) != 0 || chain.Broken == "" {
 		t.Fatalf("after corruption: %d segments, broken=%q", len(chain.Segs), chain.Broken)
 	}
-	if v.Head().Generation() != 0 || v.Chain() != 0 {
+	if head.Generation() != 0 || head.Chain() != 0 {
 		t.Fatal("corrupt chain did not degrade to the base")
 	}
-	v.Close()
+	head.Close()
+}
+
+// TestOpenAt opens a chain whose base is generation 5 at every stamp from
+// 4 to past the head: OpenAt serves the newest generation at or below the
+// stamp, with the chain up to it applied and the whole chain reported, and
+// fails below the base.
+func TestOpenAt(t *testing.T) {
+	dir := t.TempDir()
+	pm := synth.PresetByName("antlr").Generate(presetScale)
+	base := dir + "/a.pes"
+	var raw bytes.Buffer
+	if _, err := core.Build(pm, nil).WriteTo(&raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(base, raw.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	es := synth.NewEditStream(pm, synth.EditConfig{Seed: 11, EditsPerStep: 16, GrowEvery: 2})
+	oracles := []*matrix.PointsTo{pm.Clone()}
+	for i := 0; i < 3; i++ {
+		seg := es.Next()
+		seg.Gen, seg.Parent = seg.Gen+5, seg.Parent+5
+		if err := delta.WriteSegmentFile(delta.SegmentPath(base, seg.Gen), seg); err != nil {
+			t.Fatal(err)
+		}
+		oracles = append(oracles, es.Matrix().Clone())
+	}
+	if _, _, err := delta.OpenAt(base, 4); err == nil {
+		t.Fatal("OpenAt below the base generation did not fail")
+	}
+	for at := uint64(5); at <= 9; at++ {
+		sn, chain, err := delta.OpenAt(base, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := min(at, 8)
+		if sn.Generation() != g || sn.Chain() != int(g-5) || len(chain.Segs) != 3 {
+			t.Fatalf("OpenAt(%d): generation %d, chain %d of %d; want generation %d", at, sn.Generation(), sn.Chain(), len(chain.Segs), g)
+		}
+		if lin := sn.Lineage(); lin[0] != 5 || lin[len(lin)-1] != g {
+			t.Fatalf("OpenAt(%d): lineage %v", at, lin)
+		}
+		checkSnapshot(t, sn, oracles[g-5], chain.Segs)
+		if err := sn.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestExtendRejectsMalformedSegment: an in-memory segment gets the same
-// structural checks as a decoded one before it is applied, because apply
-// merges the pointers a segment dirties on the assumption that its runs
-// ascend.
+// structural checks as a decoded one before it is applied, so runs that do
+// not ascend by pointer are rejected, and the dirty pointers of an applied
+// segment read out ascending.
 func TestExtendRejectsMalformedSegment(t *testing.T) {
 	pm := synth.PresetByName("antlr").Generate(presetScale)
-	v, err := delta.NewVersioned(core.Build(pm, nil).Index())
+	v, err := delta.New(core.Build(pm, nil).Index())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +424,7 @@ func TestExtendRejectsMalformedSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ext.Close()
-	if got, want := ext.Head().DirtyPointers(), []int{p0, p1}; !slices.Equal(got, want) {
+	if got, want := ext.DirtyPointers(), []int{p0, p1}; !slices.Equal(got, want) {
 		t.Fatalf("dirty pointers %v, want %v", got, want)
 	}
 }

@@ -251,12 +251,12 @@ func TestStoreDeltaApplyWithoutRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The reference is the chain head, opened straight from disk.
-		vx, _, err := delta.Open(base)
+		head, _, err := delta.Open(base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer vx.Close()
-		return directIDs(t, vx.Head().ListPointsTo(p))
+		defer head.Close()
+		return directIDs(t, head.ListPointsTo(p))
 	})
 	if snap := st.Snapshot(); snap.Backends[0].Applies != 1 || snap.Backends[0].Stamp != 1 {
 		t.Fatalf("delta apply not reflected: %+v", snap.Backends[0])

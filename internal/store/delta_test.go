@@ -3,8 +3,11 @@ package store
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -15,7 +18,7 @@ import (
 
 // editableBase builds a .pes next to which delta segments can be written:
 // the raw image, the matrix it encodes, and the path.
-func editableBase(t *testing.T, dir string, seed int64, np, no, edges int) (string, *matrix.PointsTo) {
+func editableBase(t testing.TB, dir string, seed int64, np, no, edges int) (string, *matrix.PointsTo) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pm := matrix.New(np, no)
@@ -33,7 +36,7 @@ func editableBase(t *testing.T, dir string, seed int64, np, no, edges int) (stri
 
 // appendSegment diffs cur against an n-flip edit, stamps it onto the chain
 // after parent, writes it next to base, and returns the edited matrix.
-func appendSegment(t *testing.T, base string, cur *matrix.PointsTo, seed int64, n int, gen uint64) *matrix.PointsTo {
+func appendSegment(t testing.TB, base string, cur *matrix.PointsTo, seed int64, n int, gen uint64) *matrix.PointsTo {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	next := cur.Clone()
@@ -220,5 +223,186 @@ func TestRefreshIgnoresMismatchedChain(t *testing.T) {
 	e := s.Snapshot().Backends[0]
 	if e.Applies != 0 || e.Stamp != 0 {
 		t.Fatalf("mismatched chain applied: applies=%d stamp=%d", e.Applies, e.Stamp)
+	}
+}
+
+// TestRefreshOpensOnlyNewSegments: Refresh reads only the segments named
+// past the served head, so an applied segment deleted from the middle of
+// the chain does not stop the next one from applying, and the entry still
+// answers the head's facts with no base reload.
+func TestRefreshOpensOnlyNewSegments(t *testing.T) {
+	dir := t.TempDir()
+	path, cur := editableBase(t, dir, 90, 60, 15, 280)
+	s := New(Options{})
+	defer s.Close()
+	if err := s.Add("a", path); err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.Acquire(context.Background(), "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	for gen := uint64(1); gen <= 3; gen++ {
+		cur = appendSegment(t, path, cur, 90+int64(gen), 20, gen)
+		if err := s.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(delta.SegmentPath(path, 2)); err != nil {
+		t.Fatal(err)
+	}
+	cur = appendSegment(t, path, cur, 94, 20, 4)
+	if err := s.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if e := s.Snapshot().Backends[0]; e.Stamp != 4 || e.Applies != 4 || e.Loads != 1 {
+		t.Fatalf("after the gap: stamp=%d applies=%d loads=%d, want 4/4/1", e.Stamp, e.Applies, e.Loads)
+	}
+	h, err = s.Acquire(context.Background(), "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	for p := 0; p < cur.NumPointers; p++ {
+		if !equalInts(pointsToOf(h.Index(), p), cur.Row(p).Members()) {
+			t.Fatalf("ListPointsTo(%d) does not match generation 4", p)
+		}
+	}
+}
+
+// TestStoreRetainsOnlyServedGeneration applies 300 segments through
+// Refresh, one a refresh, as an incremental writer feeds a served chain.
+// The store must keep only the head it serves, not every generation it
+// applied: the heap it holds above the loaded base stays within 2× of what
+// it charges above the base charge.
+func TestStoreRetainsOnlyServedGeneration(t *testing.T) {
+	const segments = 300
+	path, cur := editableBase(t, t.TempDir(), 100, 3000, 2000, 12000)
+	s := New(Options{})
+	defer s.Close()
+	if err := s.Add("a", path); err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.Acquire(context.Background(), "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	heap0, charged0 := heap(), s.Snapshot().Backends[0].Bytes
+	for gen := uint64(1); gen <= segments; gen++ {
+		cur = appendSegment(t, path, cur, 100+int64(gen), 32, gen)
+		if err := s.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := heap() - heap0
+	runtime.KeepAlive(cur) // the test holds one matrix at both readings
+	e := s.Snapshot().Backends[0]
+	if e.Stamp != segments || e.Applies != segments {
+		t.Fatalf("stamp=%d applies=%d, want %d", e.Stamp, e.Applies, segments)
+	}
+	charged := e.Bytes - charged0
+	t.Logf("%d segments: heap %d bytes above the loaded base, %d charged (%.2fx)",
+		segments, held, charged, float64(held)/float64(charged))
+	if held > 2*charged {
+		t.Fatalf("the store holds %d bytes above the loaded base but charges %d: more than 2x", held, charged)
+	}
+}
+
+// BenchmarkIdleRefresh times a Refresh that finds nothing new on disk,
+// the steady state of a polling store, over a 3,000×2,000 base serving a
+// chain of 10 or 300 32-flip segments.
+func BenchmarkIdleRefresh(b *testing.B) {
+	for _, segments := range []int{10, 300} {
+		b.Run(fmt.Sprintf("segs=%d", segments), func(b *testing.B) {
+			path, cur := editableBase(b, b.TempDir(), 110, 3000, 2000, 12000)
+			for gen := uint64(1); gen <= uint64(segments); gen++ {
+				cur = appendSegment(b, path, cur, 110+int64(gen), 32, gen)
+			}
+			s := New(Options{})
+			defer s.Close()
+			if err := s.Add("a", path); err != nil {
+				b.Fatal(err)
+			}
+			h, err := s.Acquire(context.Background(), "a")
+			if err != nil {
+				b.Fatal(err)
+			}
+			h.Release()
+			if st := h.Stamp(); st != uint64(segments) {
+				b.Fatalf("serving stamp %d, want %d", st, segments)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Refresh(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestRefreshPinsTheGenerationItExtends: eviction must not free the
+// generation a Refresh is extending. Under a one-byte budget every Release
+// evicts the entry. Each round pins the entry, publishes a segment over
+// its mapped PES2 base, starts a Refresh, and releases the pin once the
+// refresh has picked the entry up; an extend over the evicted generation
+// would read its unmapped base.
+func TestRefreshPinsTheGenerationItExtends(t *testing.T) {
+	dir := t.TempDir()
+	_, cur := editableBase(t, dir, 120, 2000, 1000, 20000)
+	var buf bytes.Buffer
+	if _, err := core.Build(cur, nil).Index().WriteToV2(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "b.pes")
+	writePes(t, path, buf.Bytes())
+	s := New(Options{MemBudget: 1})
+	defer s.Close()
+	if err := s.Add("b", path); err != nil {
+		t.Fatal(err)
+	}
+	e := s.entries["b"]
+	picked := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return e.swapping
+	}
+	const rounds = 20
+	for gen := uint64(1); gen <= rounds; gen++ {
+		h, err := s.Acquire(context.Background(), "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur = appendSegment(t, path, cur, 120+int64(gen), 2000, gen)
+		refreshed := make(chan error, 1)
+		go func() { refreshed <- s.Refresh() }()
+		for !picked() && len(refreshed) == 0 {
+			runtime.Gosched()
+		}
+		h.Release()
+		if err := <-refreshed; err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, err := s.Acquire(context.Background(), "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	if h.Stamp() != rounds {
+		t.Fatalf("stamp %d, want %d", h.Stamp(), rounds)
+	}
+	for p := 0; p < cur.NumPointers; p += 7 {
+		if !equalInts(pointsToOf(h.Index(), p), cur.Row(p).Members()) {
+			t.Fatalf("ListPointsTo(%d) does not match generation %d", p, rounds)
+		}
 	}
 }

@@ -86,13 +86,11 @@ type Spec struct {
 // delta chain applied over it. Immutable after construction except for the
 // refcount bookkeeping, which Store.mu guards.
 type generation struct {
-	// ix is the query surface: the base core.Index itself when no deltas
-	// are applied, or the chain-head delta.Snapshot.
-	ix delta.Index
-	// vx owns the base. Successive delta-extended generations share one
-	// decoded base through vx's internal refcount, so retiring the old
-	// generation never unmaps a base the new one still serves.
-	vx    *delta.Versioned
+	// sn is the query surface, the base with the chain applied. It holds
+	// one reference on the base: successive delta-extended generations
+	// share one decoded base, so retiring the old generation never unmaps
+	// a base the new one still serves, and frees the old overlay.
+	sn    *delta.Snapshot
 	sum   [sha256.Size]byte // SHA-256 of the base file image
 	bytes int64
 	tag   string // Handle.VersionTag, computed once per generation
@@ -104,13 +102,9 @@ type generation struct {
 
 // free releases the generation's backing store — for the last generation
 // sharing a base, that closes the base (munmap for mapped PES2 files).
-// Versioned.Close is idempotent, so converging free paths (evict vs. last
+// Snapshot.Close is idempotent, so converging free paths (evict vs. last
 // release) are harmless.
-func (g *generation) free() { _ = g.vx.Close() }
-
-// stamp returns the generation stamp of the delta-chain head (the base
-// generation when no deltas are applied).
-func (g *generation) stamp() uint64 { return g.vx.Head().Generation() }
+func (g *generation) free() { _ = g.sn.Close() }
 
 // fileTag is the version tag of a generation loaded from a file:
 // "<hash>@<stamp>", a truncated content hash of the base file plus the
@@ -152,24 +146,23 @@ type dims struct {
 // genDims summarizes a generation for monitoring.
 func genDims(g *generation, note string) dims {
 	d := dims{
-		Pointers:   g.ix.Pointers(),
-		Objects:    g.ix.Objects(),
-		Groups:     g.ix.Groups(),
-		Rectangles: g.ix.Rectangles(),
-		Stamp:      g.stamp(),
-		Chain:      g.vx.Chain(),
+		Pointers:   g.sn.Pointers(),
+		Objects:    g.sn.Objects(),
+		Groups:     g.sn.Groups(),
+		Rectangles: g.sn.Rectangles(),
+		Stamp:      g.sn.Generation(),
+		Chain:      g.sn.Chain(),
 		ChainNote:  note,
 	}
 	if d.Chain > 0 {
-		d.Lineage = g.vx.Generations()
+		d.Lineage = g.sn.Lineage()
 	}
 	return d
 }
 
 type entry struct {
-	name    string
-	path    string // "" for a resident entry (AddIndex), which has no file
-	fromDir bool
+	name string
+	path string // "" for a resident entry (AddIndex), which has no file
 
 	// guarded by Store.mu:
 	gen      *generation   // current generation; nil when not loaded
@@ -267,10 +260,6 @@ func (s *Store) Close() {
 // Add registers one backend name → .pes path. The file is not touched
 // until the first Acquire.
 func (s *Store) Add(name, path string) error {
-	return s.add(name, path, false)
-}
-
-func (s *Store) add(name, path string, fromDir bool) error {
 	if name == "" {
 		return errors.New("store: empty backend name")
 	}
@@ -282,7 +271,7 @@ func (s *Store) add(name, path string, fromDir bool) error {
 	if _, dup := s.entries[name]; dup {
 		return fmt.Errorf("%w %q", ErrDuplicate, name)
 	}
-	s.entries[name] = &entry{name: name, path: path, fromDir: fromDir}
+	s.entries[name] = &entry{name: name, path: path}
 	return nil
 }
 
@@ -299,12 +288,12 @@ func (s *Store) AddIndex(name string, ix *core.Index) error {
 	if ix == nil {
 		return fmt.Errorf("store: nil index for backend %q", name)
 	}
-	vx, err := delta.NewVersioned(ix)
+	sn, err := delta.New(ix)
 	if err != nil {
 		return err
 	}
 	ix.BuildIDText()
-	g := &generation{ix: ix, vx: vx, bytes: ix.MemoryFootprint(), tag: residentTag(ix), refs: 1}
+	g := &generation{sn: sn, bytes: ix.MemoryFootprint(), tag: residentTag(ix), refs: 1}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.entries[name]; dup {
@@ -348,7 +337,7 @@ func (s *Store) scanDir(dir string) (int, error) {
 			continue
 		}
 		name := strings.TrimSuffix(de.Name(), ".pes")
-		err := s.add(name, filepath.Join(dir, de.Name()), true)
+		err := s.Add(name, filepath.Join(dir, de.Name()))
 		switch {
 		case err == nil:
 			added++
@@ -384,15 +373,16 @@ type Handle struct {
 	once sync.Once
 }
 
-// Index returns the pinned query surface: the decoded base index, or the
-// head snapshot of base + applied delta chain. Either way the answers are
-// frozen at pin time — hot-swaps, delta applies, and eviction never move a
-// held Handle off its generation.
-func (h *Handle) Index() delta.Index { return h.g.ix }
+// Index returns the pinned query surface: the head snapshot of the decoded
+// base plus its applied delta chain, which forwards every query to the
+// base when the chain is empty. The answers are frozen at pin time —
+// hot-swaps, delta applies, and eviction never move a held Handle off its
+// generation.
+func (h *Handle) Index() delta.Index { return h.g.sn }
 
 // Stamp returns the delta-generation stamp the pinned answers correspond
 // to (0 for a base that never had deltas).
-func (h *Handle) Stamp() uint64 { return h.g.stamp() }
+func (h *Handle) Stamp() uint64 { return h.g.sn.Generation() }
 
 // Checksum returns the hex SHA-256 of the file image this generation was
 // decoded from (all zeros for a resident entry, which has no file).
@@ -555,28 +545,22 @@ func loadGeneration(path string) (*generation, dims, error) {
 	ix.BuildIDText()
 	note := ""
 	var segs []*delta.Segment
-	if chain, cerr := delta.BuildChain(path, delta.HintOf(sum)); cerr != nil {
+	if chain, cerr := delta.BuildChain(path, delta.HintOf(sum), 0); cerr != nil {
 		note = cerr.Error()
 	} else {
 		segs, note = chain.Segs, chain.Broken
 	}
-	vx, err := delta.NewVersioned(ix, segs...)
+	sn, err := delta.New(ix, segs...)
 	if err != nil {
 		// Strict replay rejected the chain (e.g. a segment re-adds a
 		// present fact). Serve the base alone and report why.
 		note = err.Error()
-		vx, err = delta.NewVersioned(ix)
-		if err != nil {
+		if sn, err = delta.New(ix); err != nil {
 			ix.Close()
 			return nil, dims{}, err
 		}
 	}
-	g := &generation{ix: ix, vx: vx, sum: sum}
-	if vx.Chain() > 0 {
-		g.ix = vx.Head()
-	}
-	g.bytes = g.ix.MemoryFootprint()
-	g.tag = fileTag(sum, g.stamp())
+	g := newGeneration(sn, sum)
 	return g, genDims(g, note), nil
 }
 
@@ -669,10 +653,16 @@ func (s *Store) refreshEntry(e *entry) error {
 
 	s.mu.Lock()
 	old := e.gen
+	if old != nil {
+		// Pin old until the refresh ends: eviction must not free (for PES2,
+		// unmap) the base an extend is still reading.
+		old.refs++
+	}
 	s.mu.Unlock()
 	if old == nil { // evicted since the candidate scan; nothing to swap
 		return nil
 	}
+	defer (&Handle{s: s, g: old}).Release()
 	// Cheap change test first: re-hash the file and bail if unchanged, so
 	// the steady state (nothing rewritten) costs one read and no load.
 	raw, err := os.ReadFile(e.path)
@@ -708,35 +698,31 @@ func (s *Store) refreshEntry(e *entry) error {
 	return nil
 }
 
+// newGeneration wraps the snapshot sn of the file image whose SHA-256 is
+// sum, charging its footprint.
+func newGeneration(sn *delta.Snapshot, sum [sha256.Size]byte) *generation {
+	return &generation{sn: sn, sum: sum, bytes: sn.MemoryFootprint(), tag: fileTag(sum, sn.Generation())}
+}
+
 // extendEntry applies delta segments that appeared on disk past the stamp
-// entry e currently serves. The new generation shares the old one's
-// decoded base (refcounted inside Versioned), so readers pinned on the old
-// head keep answering from their generation while new queries see the
-// extended chain — the same swap discipline as a full hot-swap, minus the
-// base re-decode. The base bytes are charged under both generations until
-// the old one's last Release.
+// entry e currently serves, reading only the files named past it. The new
+// generation shares the old one's decoded base (refcounted by the
+// snapshots), so readers pinned on the old head keep answering from their
+// generation while new queries see the extended chain — the same swap
+// discipline as a full hot-swap, minus the base re-decode. The base bytes
+// are charged under both generations until the old one's last Release.
 func (s *Store) extendEntry(e *entry, old *generation) error {
-	chain, err := delta.BuildChain(e.path, delta.HintOf(old.sum))
-	if err != nil {
-		return nil // discovery glob failed; nothing to apply
-	}
-	head := old.stamp()
-	var fresh []*delta.Segment
-	for _, seg := range chain.Segs {
-		if seg.Gen > head {
-			fresh = append(fresh, seg)
-		}
-	}
-	if len(fresh) == 0 || fresh[0].Parent != head {
-		return nil
+	head := old.sn.Generation()
+	chain, err := delta.BuildChain(e.path, delta.HintOf(old.sum), head)
+	if err != nil || len(chain.Segs) == 0 || chain.Segs[0].Parent != head {
+		return nil // nothing on disk chains onto the served head
 	}
 	start := time.Now()
-	vx, err := old.vx.Extend(fresh...)
+	sn, err := old.sn.Extend(chain.Segs...)
 	if err != nil {
 		return s.failed(e, err, "store: applying deltas to %q", e.name)
 	}
-	gen := &generation{ix: vx.Head(), vx: vx, sum: old.sum, bytes: vx.Head().MemoryFootprint()}
-	gen.tag = fileTag(gen.sum, gen.stamp())
+	gen := newGeneration(sn, old.sum)
 	info := genDims(gen, chain.Broken)
 
 	s.mu.Lock()
@@ -875,7 +861,7 @@ func (s *Store) Snapshot() Stats {
 		}
 		if e.gen != nil {
 			ei.Loaded = true
-			ei.Mapped = e.gen.ix.Mapped()
+			ei.Mapped = e.gen.sn.Mapped()
 			ei.Bytes = e.gen.bytes
 			if e.path != "" {
 				ei.Checksum = hex.EncodeToString(e.gen.sum[:])

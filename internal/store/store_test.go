@@ -40,7 +40,7 @@ func pesBytes(t *testing.T, seed int64, np, no, edges int) ([]byte, *core.Index)
 	return buf.Bytes(), ix
 }
 
-func writePes(t *testing.T, path string, raw []byte) {
+func writePes(t testing.TB, path string, raw []byte) {
 	t.Helper()
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)

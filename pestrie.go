@@ -322,19 +322,13 @@ func NewStore(opts StoreOptions) *Store { return store.New(opts) }
 // index, stamped with monotonically increasing generation numbers.
 type DeltaSegment = delta.Segment
 
-// VersionedIndex layers a base index and a delta-segment chain into a set
-// of immutable snapshots, one per generation. Snapshots never change once
-// taken: concurrent readers pinned to a generation keep its answers while
-// the chain extends. Close releases the base (munmap for mapped PES2
-// files) once every snapshot holder is done.
-type VersionedIndex = delta.Versioned
-
-// IndexSnapshot answers the Table-1 queries at one pinned generation.
+// IndexSnapshot answers the Table-1 queries at one generation of a base
+// index and its delta chain. It never changes once taken; Close releases
+// its share of the base (munmap for PES2 when the last snapshot closes).
 type IndexSnapshot = delta.Snapshot
 
-// SegmentChain is the result of discovering the delta chain next to a base
-// file: the valid segments in generation order and, when discovery stopped
-// early, why.
+// SegmentChain is the delta chain found next to a base file: the valid
+// segments in generation order and, when discovery stopped early, why.
 type SegmentChain = delta.Chain
 
 // DiffMatrices computes the delta segment that turns `from` into `to`
@@ -342,12 +336,17 @@ type SegmentChain = delta.Chain
 // with WriteSegmentFile. Dimensions may only grow.
 func DiffMatrices(from, to *Matrix) (*DeltaSegment, error) { return delta.Diff(from, to) }
 
-// OpenVersioned opens a base .pes/.pes2 file plus whatever valid delta
-// chain sits next to it (<stem>.dNNNNNN.pesd). A broken chain never fails
-// the open: the valid prefix is served and Chain.Broken says why discovery
-// stopped.
-func OpenVersioned(basePath string) (*VersionedIndex, *SegmentChain, error) {
+// OpenVersioned opens a base .pes/.pes2 file at the head of the valid delta
+// chain next to it (<stem>.dNNNNNN.pesd); a broken chain never fails the
+// open, and Chain.Broken says where the served prefix stops.
+func OpenVersioned(basePath string) (*IndexSnapshot, *SegmentChain, error) {
 	return delta.Open(basePath)
+}
+
+// OpenVersionedAt is OpenVersioned at the newest generation <= gen; it
+// fails when gen predates the base.
+func OpenVersionedAt(basePath string, gen uint64) (*IndexSnapshot, *SegmentChain, error) {
+	return delta.OpenAt(basePath, gen)
 }
 
 // WriteSegmentFile persists one stamped segment at path (conventionally
